@@ -128,10 +128,17 @@ def scaled_interval_times_matrix(coeff_lo: float, coeff_hi: float,
 
     P may have mixed signs, so each entry gets ``[min(lo*p, hi*p), max(lo*p, hi*p)]``.
     """
+    return IntervalMatrix(*scaled_bounds(coeff_lo, coeff_hi, point))
+
+
+def scaled_bounds(coeff_lo: float, coeff_hi: float,
+                  point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of ``scaled_interval_times_matrix``, unchecked: they may be
+    non-finite when ``point`` is."""
     point = np.atleast_2d(np.asarray(point, dtype=float))
     a = coeff_lo * point
     b = coeff_hi * point
-    return IntervalMatrix(np.minimum(a, b), np.maximum(a, b))
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def im_add(m1: IntervalMatrix, m2: IntervalMatrix) -> IntervalMatrix:

@@ -25,7 +25,7 @@ import numpy as np
 from .reach import (ExponentialAccumulator, LinearSystem, ReachSegment,
                     build_step_sets, minkowski_sum, propagate_step,
                     propagated_error)
-from .taylor import MatrixPowers
+from .taylor import MatrixPowers, TaylorSeries
 from .tuner import ErrorLedger, ReachResult, StepRecord, run
 from .zonotope import Zonotope, interval_hull, reduce_order, support
 
@@ -355,7 +355,7 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
             width = horizon - t
         sets = sets_cache.get(width)
         if sets is None:
-            sets = build_step_sets(system, width, eta, powers)
+            sets = build_step_sets(system, TaylorSeries(powers, width), eta)
             sets_cache[width] = sets
         hom_err = propagated_error(acc, sets.hom_error)
         input_err = propagated_error(acc, sets.inh_error)

@@ -10,14 +10,12 @@ reported error stays sound under variable step sizes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .intervals import IntervalMatrix
-from .taylor import (MatrixPowers, curvature_enclosure, input_correction,
-                     taylor_partial_sum, truncation_remainder)
+from .taylor import TaylorSeries
 from .zonotope import (Zonotope, enclosure_radius, hull_of, interval_map,
                        linear_map, minkowski_sum)
 
@@ -96,18 +94,20 @@ class ExponentialAccumulator:
         return ExponentialAccumulator(self.enclosure @ step, self.elapsed + dt)
 
 
-def input_propagator(powers: MatrixPowers, dt: float, eta: int) -> np.ndarray:
-    """Step integral of the Taylor flow: ``sum_{k=0}^{eta} A^k dt^(k+1)/(k+1)!``."""
-    total = np.zeros((powers.dim, powers.dim))
-    for k in range(eta + 1):
-        total = total + powers.power(k) * (dt ** (k + 1) / math.factorial(k + 1))
-    return total
+def homogeneous_error(sys: LinearSystem, series: TaylorSeries,
+                      eta: int) -> Zonotope:
+    """Error part of the step-window solution without the time-varying input:
+    curvature enclosure applied to the initial set plus the input correction
+    applied to the input-set center."""
+    return minkowski_sum(
+        interval_map(series.curvature(eta), sys.initial_set),
+        interval_map(series.correction(eta), Zonotope.point(sys.input_set.center)))
 
 
-def homogeneous_step(sys: LinearSystem, dt: float, eta: int,
-                     powers: MatrixPowers | None = None) -> tuple[Zonotope, Zonotope]:
+def homogeneous_step(sys: LinearSystem, series: TaylorSeries,
+                     eta: int) -> tuple[Zonotope, Zonotope]:
     """Exact part and error part of the step-window solution without the
-    time-varying input.
+    time-varying input, at the series' step size.
 
     Exact: hull of the initial set and its endpoint image, which is the
     Taylor propagator applied to the initial set shifted by the constant
@@ -115,52 +115,41 @@ def homogeneous_step(sys: LinearSystem, dt: float, eta: int,
     hull is what covers intermediate times when the input set is not
     centered at the origin; its interpolation defect is exactly what the
     input-correction term bounds.
-    Error: curvature enclosure applied to the initial set plus the input
-    correction applied to the input-set center.
+    Error: see ``homogeneous_error``.
     """
-    powers = powers if powers is not None else MatrixPowers(sys.a)
-    w = taylor_partial_sum(powers, dt, eta)
-    drift = input_propagator(powers, dt, eta) @ sys.input_set.center
+    w = series.partial_sum(eta)
+    drift = series.input_propagator(eta) @ sys.input_set.center
     endpoint = Zonotope(w @ sys.initial_set.center + drift,
                         w @ sys.initial_set.generators)
     exact = hull_of(sys.initial_set, endpoint)
-    curv = curvature_enclosure(powers, dt, eta)
-    corr = input_correction(powers, dt, eta)
-    error = minkowski_sum(
-        interval_map(curv, sys.initial_set),
-        interval_map(corr, Zonotope.point(sys.input_set.center)))
-    return exact, error
+    return exact, homogeneous_error(sys, series, eta)
 
 
-def inhomogeneous_step(sys: LinearSystem, dt: float, eta: int,
-                       powers: MatrixPowers | None = None) -> tuple[Zonotope, Zonotope]:
+def inhomogeneous_step(sys: LinearSystem, series: TaylorSeries,
+                       eta: int) -> tuple[Zonotope, Zonotope]:
     """Exact part and error part of the local input solution over ``[0, dt]``.
 
     Exact: ``(sum_{k=0}^{eta} A^k dt^(k+1) / (k+1)!) U``.
     Error: ``(remainder * dt) U``.
     """
-    powers = powers if powers is not None else MatrixPowers(sys.a)
-    exact = linear_map(input_propagator(powers, dt, eta), sys.input_set)
-    rem = truncation_remainder(powers, dt, eta)
-    error = interval_map(rem.scale(dt), sys.input_set)
+    exact = linear_map(series.input_propagator(eta), sys.input_set)
+    error = interval_map(series.remainder(eta).scale(series.dt), sys.input_set)
     return exact, error
 
 
-def build_step_sets(sys: LinearSystem, dt: float, eta: int,
-                    powers: MatrixPowers | None = None) -> StepSets:
-    """All local pieces for one candidate step, ready for caching."""
-    powers = powers if powers is not None else MatrixPowers(sys.a)
-    hom_exact, hom_error = homogeneous_step(sys, dt, eta, powers)
-    inh_exact, inh_error = inhomogeneous_step(sys, dt, eta, powers)
+def build_step_sets(sys: LinearSystem, series: TaylorSeries, eta: int) -> StepSets:
+    """All local pieces for one candidate step at the series' step size."""
+    hom_exact, hom_error = homogeneous_step(sys, series, eta)
+    inh_exact, inh_error = inhomogeneous_step(sys, series, eta)
     # drift-free input solution: the step's constant drift already rides in
     # the homogeneous hull, so the step window only adds the centered part
     inh_centered = Zonotope(np.zeros(sys.dim), inh_exact.generators)
-    return StepSets(dt=dt, eta=eta,
+    return StepSets(dt=series.dt, eta=eta,
                     hom_exact=hom_exact, hom_error=hom_error,
                     inh_exact=inh_exact, inh_centered=inh_centered,
                     inh_error=inh_error,
-                    propagator=taylor_partial_sum(powers, dt, eta),
-                    remainder=truncation_remainder(powers, dt, eta))
+                    propagator=series.partial_sum(eta),
+                    remainder=series.remainder(eta))
 
 
 def propagate_step(acc: ExponentialAccumulator, sets: StepSets,
@@ -185,18 +174,15 @@ def propagated_error(acc: ExponentialAccumulator, error_set: Zonotope) -> float:
 
 
 def homogeneous_step_error(acc: ExponentialAccumulator, sys: LinearSystem,
-                           dt: float, eta: int,
-                           powers: MatrixPowers | None = None) -> float:
+                           series: TaylorSeries, eta: int) -> float:
     """Per-step homogeneous error value; does not depend on previous steps."""
-    _, error = homogeneous_step(sys, dt, eta, powers)
-    return propagated_error(acc, error)
+    return propagated_error(acc, homogeneous_error(sys, series, eta))
 
 
 def input_step_error(acc: ExponentialAccumulator, sys: LinearSystem,
-                     dt: float, eta: int,
-                     powers: MatrixPowers | None = None) -> float:
+                     series: TaylorSeries, eta: int) -> float:
     """Per-step input-driven error value; accumulates over the run."""
-    _, error = inhomogeneous_step(sys, dt, eta, powers)
+    _, error = inhomogeneous_step(sys, series, eta)
     return propagated_error(acc, error)
 
 

@@ -1,9 +1,11 @@
 """Truncated Taylor expansion of the matrix exponential with certified bounds.
 
-Provides the point partial sum, a symmetric interval enclosure of the
-truncation remainder, the curvature enclosure covering all intermediate
-times of a step, the matching input correction term, and the automatic
-cut-off order for the series.
+Provides the point partial sum, the input propagator, a symmetric interval
+enclosure of the truncation remainder, the curvature enclosure covering all
+intermediate times of a step, the matching input correction term, and the
+automatic cut-off order for the series. The per-order functions build each
+piece from scratch; ``TaylorSeries`` gives the same pieces for every order
+at one step size and computes each term once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import math
 
 import numpy as np
 
-from .intervals import IntervalMatrix, scaled_interval_times_matrix
+from .intervals import (IntervalMatrix, scaled_bounds,
+                        scaled_interval_times_matrix)
 
 
 class NotConvergentError(ArithmeticError):
@@ -78,6 +81,16 @@ def taylor_partial_sum(a, dt: float, eta: int) -> np.ndarray:
     return total
 
 
+def input_propagator(a, dt: float, eta: int) -> np.ndarray:
+    """Step integral of the Taylor flow: ``sum_{k=0}^{eta} A^k dt^(k+1)/(k+1)!``."""
+    powers = _as_powers(a)
+    _check_step(dt, eta)
+    total = np.zeros((powers.dim, powers.dim))
+    for k in range(eta + 1):
+        total = total + powers.power(k) * (dt ** (k + 1) / math.factorial(k + 1))
+    return total
+
+
 def convergence_ratio(a, dt: float, eta: int) -> float:
     """Geometric ratio of the remainder tail; must be < 1 for the bound."""
     powers = _as_powers(a)
@@ -93,15 +106,17 @@ def truncation_remainder(a, dt: float, eta: int) -> IntervalMatrix:
 
     Raises NotConvergentError when ``zeta >= 1``.
     """
-    powers = _as_powers(a)
+    return IntervalMatrix.symmetric(_remainder_halfwidth(_as_powers(a), dt, eta))
+
+
+def _remainder_halfwidth(powers: MatrixPowers, dt: float, eta: int) -> np.ndarray:
     _check_step(dt, eta)
     zeta = convergence_ratio(powers, dt, eta)
     if zeta >= 1.0:
         raise NotConvergentError(
             f"remainder tail ratio {zeta:.3g} >= 1 at dt={dt:.3g}, eta={eta}")
-    halfwidth = powers.abs_power(eta + 1) * (
+    return powers.abs_power(eta + 1) * (
         _dt_pow_over_factorial(dt, eta + 1) / (1.0 - zeta))
-    return IntervalMatrix.symmetric(halfwidth)
 
 
 _MIX_COEFF: dict[int, float] = {}
@@ -148,6 +163,118 @@ def input_correction(a, dt: float, eta: int) -> IntervalMatrix:
             coeff, 0.0, powers.power(k - 1) / math.factorial(k))
         total = total + term
     return total
+
+
+class _MixedTerms:
+    """Stacked endpoints of ``[c_k dt^k, 0] A^(k - shift) / k!`` for k >= 2.
+
+    Row ``k - 1`` holds term k as a ``(lo, hi)`` pair; row 0 takes the
+    starting value of each sum.
+    """
+
+    def __init__(self, powers: MatrixPowers, dt: float, shift: int):
+        self.powers = powers
+        self.dt = dt
+        self.shift = shift
+        self.rows = np.empty((8, 2, powers.dim, powers.dim))
+        self.filled = 1
+
+    def sum(self, lo: np.ndarray, hi: np.ndarray,
+            count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``[lo, hi]`` plus terms ``k = 2 .. count + 1``, added in that order."""
+        used = count + 1
+        if used > len(self.rows):
+            grown = np.empty((max(used, 2 * len(self.rows)),) + self.rows.shape[1:])
+            grown[:self.filled] = self.rows[:self.filled]
+            self.rows = grown
+        for k in range(self.filled + 1, used + 1):
+            coeff = _mix_coefficient(k) * self.dt ** k
+            self.rows[k - 1] = scaled_bounds(
+                coeff, 0.0, self.powers.power(k - self.shift) / math.factorial(k))
+        self.filled = max(self.filled, used)
+        self.rows[0, 0] = lo
+        self.rows[0, 1] = hi
+        # accumulate, unlike add.reduce, adds strictly in row order
+        total = np.add.accumulate(self.rows[:used], axis=0)[-1]
+        return total[0].copy(), total[1].copy()
+
+
+class TaylorSeries:
+    """Every Taylor piece of ``exp(A dt)`` at one step size, for any order.
+
+    Each piece at order ``eta`` equals, bit for bit, what the per-order
+    function of the same name returns, but terms are computed once and on
+    demand, up to the highest order asked for, like ``MatrixPowers``. The
+    partial sum and the input propagator are running sums. The curvature
+    and correction sums start from the remainder, which depends on ``eta``,
+    so their terms are kept stacked and added to it in the same order.
+
+    At high orders the powers of a stiff matrix overflow; ``is_finite``
+    says whether the pieces of an order can be used. Confined to one
+    analysis run; not safe for concurrent mutation.
+    """
+
+    def __init__(self, a, dt: float):
+        _check_step(dt, 1)
+        self.powers = _as_powers(a)
+        self.dt = dt
+        n = self.powers.dim
+        self._partial = [np.eye(n)]  # order eta at index eta
+        self._propagator = [np.zeros((n, n))]  # order eta at index eta + 1
+        self._curvature = _MixedTerms(self.powers, dt, 0)
+        self._correction = _MixedTerms(self.powers, dt, 1)
+
+    def _grow(self, eta: int) -> None:
+        _check_step(self.dt, eta)
+        powers, dt = self.powers, self.dt
+        for k in range(len(self._partial), eta + 1):
+            self._partial.append(
+                self._partial[-1] + powers.power(k) * _dt_pow_over_factorial(dt, k))
+        for k in range(len(self._propagator) - 1, eta + 1):
+            self._propagator.append(
+                self._propagator[-1]
+                + powers.power(k) * (dt ** (k + 1) / math.factorial(k + 1)))
+
+    def partial_sum(self, eta: int) -> np.ndarray:
+        """As ``taylor_partial_sum``."""
+        self._grow(eta)
+        return self._partial[eta]
+
+    def input_propagator(self, eta: int) -> np.ndarray:
+        """As ``input_propagator``."""
+        self._grow(eta)
+        return self._propagator[eta + 1]
+
+    def remainder(self, eta: int) -> IntervalMatrix:
+        """As ``truncation_remainder``."""
+        return IntervalMatrix.symmetric(_remainder_halfwidth(self.powers, self.dt, eta))
+
+    def curvature(self, eta: int) -> IntervalMatrix:
+        """As ``curvature_enclosure``."""
+        return IntervalMatrix(*self._curvature_bounds(eta))
+
+    def correction(self, eta: int) -> IntervalMatrix:
+        """As ``input_correction``."""
+        return IntervalMatrix(*self._correction_bounds(eta))
+
+    def is_finite(self, eta: int) -> bool:
+        """Whether every piece at order ``eta`` is finite.
+
+        Raises NotConvergentError where the remainder does.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            pieces = (self.partial_sum(eta), self.input_propagator(eta),
+                      _remainder_halfwidth(self.powers, self.dt, eta),
+                      *self._curvature_bounds(eta), *self._correction_bounds(eta))
+        return all(np.isfinite(p).all() for p in pieces)
+
+    def _curvature_bounds(self, eta: int) -> tuple[np.ndarray, np.ndarray]:
+        half = _remainder_halfwidth(self.powers, self.dt, eta)
+        return self._curvature.sum(-half, half, eta - 1)
+
+    def _correction_bounds(self, eta: int) -> tuple[np.ndarray, np.ndarray]:
+        half = _remainder_halfwidth(self.powers, self.dt, eta)
+        return self._correction.sum(-half * self.dt, half * self.dt, eta)
 
 
 MAX_ORDER_CAP = 100

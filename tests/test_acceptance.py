@@ -14,7 +14,7 @@ from reachtune.modelio import random_system, run_fixed_baseline
 from reachtune.reach import (ExponentialAccumulator, LinearSystem,
                              input_step_error)
 from reachtune.sampling import check_containment, sample_trajectories
-from reachtune.taylor import (MatrixPowers, taylor_partial_sum,
+from reachtune.taylor import (MatrixPowers, TaylorSeries, taylor_partial_sum,
                               truncation_remainder)
 from reachtune.tuner import run
 from reachtune.zonotope import (Zonotope, enclosure_radius, interval_hull,
@@ -135,9 +135,9 @@ def test_criterion_4_step_input_error_superlinear():
         eta = int(rng.integers(1, 6))
         if powers.norm_inf * dt / (eta + 2) >= 1:
             continue
-        base = input_step_error(acc, system, dt, eta, powers)
+        base = input_step_error(acc, system, TaylorSeries(powers, dt), eta)
         for phi in (0.1, 0.5, 0.9):
-            if not input_step_error(acc, system, phi * dt, eta, powers) <= phi * base:
+            if not input_step_error(acc, system, TaylorSeries(powers, phi * dt), eta) <= phi * base:
                 violations += 1
         checked += 1
     report(4, violations == 0,

@@ -8,6 +8,7 @@ from reachtune.cli import main
 from reachtune.modelio import (SafetySpec, load_model, read_report,
                                read_result, save_model)
 from reachtune.reach import LinearSystem
+from reachtune.sampling import check_containment, sample_trajectories
 from reachtune.zonotope import Zonotope
 
 
@@ -112,6 +113,30 @@ def test_input_errors_exit_three(tmp_path, capsys):
     save_model(spin_path, spin)
     assert main(["baseline", "--model", str(spin_path), "--dt", "3.0",
                  "--eta", "1", "--rho", "10"]) == 3
+    capsys.readouterr()
+
+
+def test_run_very_stiff_model_succeeds(tmp_path, capsys):
+    # the powers of diag(-3000, -1) overflow at the high orders the step
+    # search tries first; those candidates are rejected, not input errors
+    sys_ = LinearSystem(np.diag([-3000.0, -1.0]),
+                        Zonotope.box([1.0, 1.0], [0.1, 0.1]),
+                        Zonotope.box([0.0, 0.0], [0.05, 0.05]), 0.3)
+    model = tmp_path / "stiff.json"
+    save_model(model, sys_)
+    out = tmp_path / "stiff.jsonl"
+    report = tmp_path / "stiff.report.json"
+    assert main(["run", "--model", str(model), "--eps", "0.05",
+                 "--out", str(out), "--report", str(report)]) == 0
+    rep = read_report(report)
+    assert rep.max_step_hom_error <= rep.budget["hom_max"]
+    assert rep.input_error_total <= rep.budget["input_max"]
+    assert rep.reduction_error_total <= rep.budget["reduction_max"]
+    # RK4 needs steps well below 2.8 / 3000 to stay stable
+    batch = sample_trajectories(sys_, 10, seed=3, step=1e-4)
+    containment = check_containment(read_result(out), batch)
+    assert containment.checked > 0
+    assert containment.all_contained
     capsys.readouterr()
 
 

@@ -8,7 +8,8 @@ from reachtune.reach import (ExponentialAccumulator, LinearSystem,
                              build_step_sets, homogeneous_step,
                              homogeneous_step_error, inhomogeneous_step,
                              input_step_error, propagate_step)
-from reachtune.taylor import MatrixPowers, taylor_partial_sum, truncation_remainder
+from reachtune.taylor import (MatrixPowers, TaylorSeries, taylor_partial_sum,
+                              truncation_remainder)
 from reachtune.zonotope import (Zonotope, contains_point, enclosure_radius,
                                 interval_hull)
 
@@ -40,7 +41,7 @@ def test_linear_system_validation():
 def test_homogeneous_step_static_dynamics():
     sys = LinearSystem(np.zeros((2, 2)), unit_box(2, 5.0),
                        Zonotope.point([0.0, 0.0]), 1.0)
-    exact, error = homogeneous_step(sys, dt=0.5, eta=3)
+    exact, error = homogeneous_step(sys, TaylorSeries(sys.a, 0.5), 3)
     np.testing.assert_array_equal(exact.center, sys.initial_set.center)
     np.testing.assert_array_equal(exact.generators, sys.initial_set.generators)
     assert error.num_generators == 0
@@ -50,7 +51,7 @@ def test_homogeneous_step_static_dynamics():
 def test_homogeneous_step_scalar_decay():
     sys = scalar_system()
     dt, eta = 0.1, 6
-    exact, error = homogeneous_step(sys, dt, eta)
+    exact, error = homogeneous_step(sys, TaylorSeries(sys.a, dt), eta)
     w = taylor_partial_sum(sys.a, dt, eta)[0, 0]
     assert w == pytest.approx(math.exp(-dt), abs=1e-9)
     hull = interval_hull(exact)
@@ -65,7 +66,7 @@ def test_homogeneous_error_shrinks_with_dt():
     errors = []
     dt = 0.2
     for _ in range(6):
-        _, error = homogeneous_step(sys, dt, 4)
+        _, error = homogeneous_step(sys, TaylorSeries(sys.a, dt), 4)
         errors.append(enclosure_radius(error))
         dt *= 0.5
     assert all(b < a for a, b in zip(errors, errors[1:]))
@@ -73,7 +74,7 @@ def test_homogeneous_error_shrinks_with_dt():
 
 def test_inhomogeneous_step_no_input():
     sys = scalar_system(u=(0.0, 0.0))
-    exact, error = inhomogeneous_step(sys, 0.25, 3)
+    exact, error = inhomogeneous_step(sys, TaylorSeries(sys.a, 0.25), 3)
     assert exact.num_generators == 0 and error.num_generators == 0
     np.testing.assert_array_equal(exact.center, [0.0])
     np.testing.assert_array_equal(error.center, [0.0])
@@ -82,7 +83,7 @@ def test_inhomogeneous_step_no_input():
 def test_inhomogeneous_step_pure_integrator():
     sys = LinearSystem(np.zeros((2, 2)), Zonotope.point([0.0, 0.0]),
                        unit_box(2), 1.0)
-    exact, error = inhomogeneous_step(sys, dt=0.5, eta=2)
+    exact, error = inhomogeneous_step(sys, TaylorSeries(sys.a, 0.5), 2)
     hull = interval_hull(exact)
     np.testing.assert_allclose(hull.lo, [-0.5, -0.5])
     np.testing.assert_allclose(hull.hi, [0.5, 0.5])
@@ -91,7 +92,7 @@ def test_inhomogeneous_step_pure_integrator():
 
 def test_inhomogeneous_step_scalar_radii():
     sys = scalar_system(a=1.0, x0=(0.0, 0.0), u=(0.0, 1.0))
-    exact, error = inhomogeneous_step(sys, dt=0.1, eta=2)
+    exact, error = inhomogeneous_step(sys, TaylorSeries(sys.a, 0.1), 2)
     expected = 0.1 + 0.01 / 2 + 0.001 / 6
     assert interval_hull(exact).hi[0] == pytest.approx(expected, rel=1e-12)
     rem = truncation_remainder(sys.a, 0.1, 2)
@@ -153,7 +154,7 @@ def test_accumulator_encloses_true_exponential():
 
 def test_propagate_step_first_step_is_local():
     sys = scalar_system()
-    sets = build_step_sets(sys, 0.1, 5)
+    sets = build_step_sets(sys, TaylorSeries(sys.a, 0.1), 5)
     acc = ExponentialAccumulator.identity(1)
     window, p = propagate_step(acc, sets, Zonotope.point([0.0]))
     local = interval_hull(sets.hom_exact + sets.hom_error
@@ -173,7 +174,7 @@ def test_constant_drift_covered_within_step():
     sys = LinearSystem(a, Zonotope.point([10.0, 10.0]),
                        Zonotope.point(c_u), 1.0)
     dt = 0.3
-    sets = build_step_sets(sys, dt, 8)
+    sets = build_step_sets(sys, TaylorSeries(sys.a, dt), 8)
     acc = ExponentialAccumulator.identity(2)
     window, _ = propagate_step(acc, sets, Zonotope.point([0.0, 0.0]))
     from scipy.integrate import solve_ivp
@@ -188,7 +189,7 @@ def test_drift_endpoint_in_hull_inherits_correction_scale():
     # input solution applied to the input center
     sys = scalar_system(a=-1.0, u=(0.5, 0.0))
     dt, eta = 0.2, 6
-    exact, _ = homogeneous_step(sys, dt, eta)
+    exact, _ = homogeneous_step(sys, TaylorSeries(sys.a, dt), eta)
     w = taylor_partial_sum(sys.a, dt, eta)[0, 0]
     drift = sum((-1.0) ** k * dt ** (k + 1) / math.factorial(k + 1)
                 for k in range(eta + 1)) * 0.5
@@ -200,7 +201,7 @@ def test_drift_endpoint_in_hull_inherits_correction_scale():
 def test_propagate_accumulates_pure_integrator():
     sys = LinearSystem(np.zeros((2, 2)), Zonotope.point([0.0, 0.0]),
                        unit_box(2), 1.0)
-    sets = build_step_sets(sys, 0.5, 2)
+    sets = build_step_sets(sys, TaylorSeries(sys.a, 0.5), 2)
     acc = ExponentialAccumulator.identity(2)
     p = Zonotope.point([0.0, 0.0])
     for _ in range(2):
@@ -214,10 +215,10 @@ def test_propagate_accumulates_pure_integrator():
 def test_step_errors_zero_cases():
     acc = ExponentialAccumulator.identity(2)
     static = LinearSystem(np.zeros((2, 2)), unit_box(2), unit_box(2), 1.0)
-    assert homogeneous_step_error(acc, static, 0.3, 2) == 0.0
+    assert homogeneous_step_error(acc, static, TaylorSeries(static.a, 0.3), 2) == 0.0
     no_input = LinearSystem(np.array([[0.0, 1.0], [-1.0, 0.0]]), unit_box(2),
                             Zonotope.point([0.0, 0.0]), 1.0)
-    assert input_step_error(acc, no_input, 0.3, 2) == 0.0
+    assert input_step_error(acc, no_input, TaylorSeries(no_input.a, 0.3), 2) == 0.0
 
 
 def test_step_errors_shrink_with_dt():
@@ -227,8 +228,8 @@ def test_step_errors_shrink_with_dt():
     dt = 0.2
     prev_h = prev_p = math.inf
     for _ in range(6):
-        err_h = homogeneous_step_error(acc, sys, dt, 4)
-        err_p = input_step_error(acc, sys, dt, 4)
+        err_h = homogeneous_step_error(acc, sys, TaylorSeries(sys.a, dt), 4)
+        err_p = input_step_error(acc, sys, TaylorSeries(sys.a, dt), 4)
         assert err_h < prev_h and err_p < prev_p
         prev_h, prev_p = err_h, err_p
         dt *= 0.5
@@ -252,9 +253,9 @@ def test_input_error_superlinear_in_dt():
         eta = int(rng.integers(1, 6))
         if powers.norm_inf * dt / (eta + 2) >= 1:
             continue
-        base = input_step_error(acc, sys, dt, eta, powers)
+        base = input_step_error(acc, sys, TaylorSeries(powers, dt), eta)
         for phi in (0.1, 0.5, 0.9):
-            assert input_step_error(acc, sys, phi * dt, eta, powers) <= phi * base
+            assert input_step_error(acc, sys, TaylorSeries(powers, phi * dt), eta) <= phi * base
 
 
 def test_error_sets_contain_origin():
@@ -263,7 +264,7 @@ def test_error_sets_contain_origin():
         n = int(rng.integers(1, 4))
         a = rng.uniform(-2, 2, size=(n, n))
         sys = LinearSystem(a, unit_box(n, 10.0), unit_box(n, 1.0), 1.0)
-        sets = build_step_sets(sys, 0.05, 4)
+        sets = build_step_sets(sys, TaylorSeries(sys.a, 0.05), 4)
         assert contains_point(sets.hom_error, np.zeros(n), tol=1e-12)
         assert contains_point(sets.inh_error, np.zeros(n), tol=1e-12)
         assert interval_hull(sets.hom_error).contains(np.zeros(n))

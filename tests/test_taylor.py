@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from reachtune.intervals import IntervalMatrix
-from reachtune.taylor import (MatrixPowers, NotConvergentError,
-                              curvature_enclosure, input_correction,
+from reachtune.taylor import (MatrixPowers, NotConvergentError, TaylorSeries,
+                              convergence_ratio, curvature_enclosure,
+                              input_correction, input_propagator,
                               max_taylor_order, taylor_partial_sum,
                               truncation_remainder)
 from reachtune.zonotope import Zonotope, enclosure_radius, interval_map
@@ -210,3 +211,56 @@ def test_matrix_powers_cache_and_validation():
         MatrixPowers(np.ones((2, 3)))
     with pytest.raises(ValueError):
         MatrixPowers(np.array([[np.inf]]))
+
+
+def series_pieces(series, eta):
+    rem = series.remainder(eta)
+    curv = series.curvature(eta)
+    corr = series.correction(eta)
+    return (series.partial_sum(eta), series.input_propagator(eta),
+            rem.lo, rem.hi, curv.lo, curv.hi, corr.lo, corr.hi)
+
+
+def reference_pieces(powers, dt, eta):
+    rem = truncation_remainder(powers, dt, eta)
+    curv = curvature_enclosure(powers, dt, eta)
+    corr = input_correction(powers, dt, eta)
+    return (taylor_partial_sum(powers, dt, eta), input_propagator(powers, dt, eta),
+            rem.lo, rem.hi, curv.lo, curv.hi, corr.lo, corr.hi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_series_equals_per_order_functions_bit_for_bit(n):
+    # at every order up to the cut-off, whether the series was grown
+    # exactly to that order (ascending queries) or beyond it (top first)
+    rng = np.random.default_rng(50 + n)
+    for _ in range(3):
+        a = rng.uniform(-3, 3, size=(n, n))
+        powers = MatrixPowers(a)
+        for dt in (0.003, 0.05, 0.3, 1.2):
+            orders = [eta for eta in range(1, max_taylor_order(powers, dt) + 1)
+                      if convergence_ratio(powers, dt, eta) < 1]
+            exact = TaylorSeries(powers, dt)
+            beyond = TaylorSeries(a, dt)
+            series_pieces(beyond, orders[-1])
+            for eta in orders:
+                expected = reference_pieces(powers, dt, eta)
+                for series in (exact, beyond):
+                    got = series_pieces(series, eta)
+                    assert all(np.array_equal(g, e) for g, e in zip(got, expected)), \
+                        (n, dt, eta)
+
+
+def test_series_finiteness_and_convergence():
+    # stiff powers overflow at high orders: those orders are flagged, not
+    # raised, while low orders at a small step stay usable
+    stiff = MatrixPowers(np.diag([-3000.0, -1.0]))
+    coarse = TaylorSeries(stiff, 0.03)
+    assert not coarse.is_finite(100)
+    with pytest.raises(NotConvergentError):
+        coarse.is_finite(10)
+    fine = TaylorSeries(stiff, 1e-4)
+    assert fine.is_finite(5)
+    assert np.array_equal(fine.curvature(5).lo, curvature_enclosure(stiff, 1e-4, 5).lo)
+    with pytest.raises(ValueError):
+        TaylorSeries(stiff, 0.0)

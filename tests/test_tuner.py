@@ -274,3 +274,20 @@ def test_run_scalar_errors_match_independent_rederivation():
         assert err_p <= admissible * (1 + 1e-9)
         input_acc += rec.input_error
         t = rec.t_hi
+
+
+def stiff_system(lam):
+    return LinearSystem(np.diag([-lam, -1.0]), Zonotope.box([1.0, 1.0], [0.1, 0.1]),
+                        Zonotope.box([0.0, 0.0], [0.05, 0.05]), 0.3)
+
+
+def test_run_stiff_search_evaluates_pinned_candidates():
+    # the blind (dt, eta) sweep on the stiff model, as first recorded: any
+    # change to which candidates the search evaluates shows here
+    result = run(stiff_system(100.0), eps_max=0.05)
+    retries = [r.retries for r in result.ledger.records]
+    assert result.steps == 25
+    assert retries[0] == 1469
+    assert sum(retries) == 1639
+    assert [r.taylor_order for r in result.ledger.records] == [
+        3, 3, 3, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 3, 2, 3, 3, 4, 6, 3, 5, 2, 6, 1]
