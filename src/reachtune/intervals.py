@@ -2,6 +2,10 @@
 
 Floating-point rounding is deliberately not tracked outward; all enclosure
 guarantees are with respect to real arithmetic on the stored endpoints.
+
+The public constructors validate their input. Sums, products and scalings
+of validated matrices are built through ``IntervalMatrix._trusted``
+without the checks.
 """
 
 from __future__ import annotations
@@ -67,6 +71,15 @@ class IntervalMatrix:
         self.hi = hi
 
     @classmethod
+    def _trusted(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalMatrix":
+        """Store 2-d float endpoints without checks; the caller guarantees
+        they are finite, of one shape and ordered ``lo <= hi``."""
+        m = object.__new__(cls)
+        m.lo = lo
+        m.hi = hi
+        return m
+
+    @classmethod
     def from_point(cls, m: np.ndarray) -> "IntervalMatrix":
         m = np.atleast_2d(np.asarray(m, dtype=float))
         return cls(m, m.copy())
@@ -93,26 +106,22 @@ class IntervalMatrix:
     def rad(self) -> np.ndarray:
         return 0.5 * (self.hi - self.lo)
 
-    def abs_sup(self) -> np.ndarray:
-        """Entrywise ``max(|lo|, |hi|)``, a bound on any contained matrix."""
-        return np.maximum(np.abs(self.lo), np.abs(self.hi))
-
     def __add__(self, other: "IntervalMatrix") -> "IntervalMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return IntervalMatrix(self.lo + other.lo, self.hi + other.hi)
+        return IntervalMatrix._trusted(self.lo + other.lo, self.hi + other.hi)
 
     def __matmul__(self, other: "IntervalMatrix") -> "IntervalMatrix":
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shapes not conformable: {self.shape} @ {other.shape}")
         lo, hi = interval_matmul(self.lo, self.hi, other.lo, other.hi)
-        return IntervalMatrix(lo, hi)
+        return IntervalMatrix._trusted(lo, hi)
 
     def scale(self, factor: float) -> "IntervalMatrix":
         """Multiply by a nonnegative scalar."""
         if factor < 0:
             raise ValueError("scale factor must be nonnegative")
-        return IntervalMatrix(self.lo * factor, self.hi * factor)
+        return IntervalMatrix._trusted(self.lo * factor, self.hi * factor)
 
     def contains(self, m: np.ndarray, tol: float = 0.0) -> bool:
         m = np.atleast_2d(np.asarray(m, dtype=float))

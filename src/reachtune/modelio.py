@@ -355,7 +355,11 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
             width = horizon - t
         sets = sets_cache.get(width)
         if sets is None:
-            sets = build_step_sets(system, TaylorSeries(powers, width), eta)
+            series = TaylorSeries(powers, width)
+            if not series.is_finite(eta):
+                raise ValueError(
+                    f"Taylor terms overflow at dt={width:.3g}, eta={eta}")
+            sets = build_step_sets(system, series, eta)
             sets_cache[width] = sets
         hom_err = propagated_error(acc, sets.hom_error)
         input_err = propagated_error(acc, sets.inh_error)

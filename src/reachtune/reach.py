@@ -89,9 +89,16 @@ class ExponentialAccumulator:
 
     def advanced(self, propagator: np.ndarray, remainder: IntervalMatrix,
                  dt: float) -> "ExponentialAccumulator":
-        """Compose one step: ``phi' = phi @ ([W, W] + E)``, time moves by dt."""
+        """Compose one step: ``phi' = phi @ ([W, W] + E)``, time moves by dt.
+
+        Interval products skip validation, so an enclosure that outgrows the
+        float range is caught here, once per step.
+        """
         step = IntervalMatrix.from_point(propagator) + remainder
-        return ExponentialAccumulator(self.enclosure @ step, self.elapsed + dt)
+        enclosure = self.enclosure @ step
+        if not (np.isfinite(enclosure.lo).all() and np.isfinite(enclosure.hi).all()):
+            raise ValueError("enclosure of exp(A t) overflowed")
+        return ExponentialAccumulator(enclosure, self.elapsed + dt)
 
 
 def homogeneous_error(sys: LinearSystem, series: TaylorSeries,

@@ -223,26 +223,27 @@ class TaylorSeries:
         self._propagator = [np.zeros((n, n))]  # order eta at index eta + 1
         self._curvature = _MixedTerms(self.powers, dt, 0)
         self._correction = _MixedTerms(self.powers, dt, 1)
+        # curvature and correction of the last order is_finite passed
+        self._finite_eta: int | None = None
+        self._finite_pieces: tuple[IntervalMatrix, IntervalMatrix] | None = None
 
-    def _grow(self, eta: int) -> None:
+    def partial_sum(self, eta: int) -> np.ndarray:
+        """As ``taylor_partial_sum``."""
         _check_step(self.dt, eta)
         powers, dt = self.powers, self.dt
         for k in range(len(self._partial), eta + 1):
             self._partial.append(
                 self._partial[-1] + powers.power(k) * _dt_pow_over_factorial(dt, k))
-        for k in range(len(self._propagator) - 1, eta + 1):
-            self._propagator.append(
-                self._propagator[-1]
-                + powers.power(k) * (dt ** (k + 1) / math.factorial(k + 1)))
-
-    def partial_sum(self, eta: int) -> np.ndarray:
-        """As ``taylor_partial_sum``."""
-        self._grow(eta)
         return self._partial[eta]
 
     def input_propagator(self, eta: int) -> np.ndarray:
         """As ``input_propagator``."""
-        self._grow(eta)
+        _check_step(self.dt, eta)
+        powers, dt = self.powers, self.dt
+        for k in range(len(self._propagator) - 1, eta + 1):
+            self._propagator.append(
+                self._propagator[-1]
+                + powers.power(k) * (dt ** (k + 1) / math.factorial(k + 1)))
         return self._propagator[eta + 1]
 
     def remainder(self, eta: int) -> IntervalMatrix:
@@ -251,22 +252,37 @@ class TaylorSeries:
 
     def curvature(self, eta: int) -> IntervalMatrix:
         """As ``curvature_enclosure``."""
+        if eta == self._finite_eta:
+            return self._finite_pieces[0]
         return IntervalMatrix(*self._curvature_bounds(eta))
 
     def correction(self, eta: int) -> IntervalMatrix:
         """As ``input_correction``."""
+        if eta == self._finite_eta:
+            return self._finite_pieces[1]
         return IntervalMatrix(*self._correction_bounds(eta))
 
     def is_finite(self, eta: int) -> bool:
         """Whether every piece at order ``eta`` is finite.
 
+        The curvature and correction of the last order that passes are
+        kept, so asking for them at that order computes nothing again.
         Raises NotConvergentError where the remainder does.
         """
+        if eta == self._finite_eta:
+            return True
         with np.errstate(over="ignore", invalid="ignore"):
+            curvature = self._curvature_bounds(eta)
+            correction = self._correction_bounds(eta)
             pieces = (self.partial_sum(eta), self.input_propagator(eta),
                       _remainder_halfwidth(self.powers, self.dt, eta),
-                      *self._curvature_bounds(eta), *self._correction_bounds(eta))
-        return all(np.isfinite(p).all() for p in pieces)
+                      *curvature, *correction)
+        if not all(np.isfinite(p).all() for p in pieces):
+            return False
+        self._finite_eta = eta
+        self._finite_pieces = (IntervalMatrix._trusted(*curvature),
+                               IntervalMatrix._trusted(*correction))
+        return True
 
     def _curvature_bounds(self, eta: int) -> tuple[np.ndarray, np.ndarray]:
         half = _remainder_halfwidth(self.powers, self.dt, eta)
@@ -288,16 +304,23 @@ def max_taylor_order(a, dt: float, rel_floor: float = MAX_ORDER_REL_FLOOR,
     Returns the smallest ``eta`` whose remainder tail ratio is < 1 and whose
     scalar tail bound ``(||A||dt)^(eta+1)/(eta+1)!/(1-zeta)`` drops below
     ``rel_floor`` relative to the partial sum's inf-norm, capped at ``cap``.
+
+    ``a`` is the matrix, its ``MatrixPowers``, or a ``TaylorSeries`` at step
+    ``dt``; the partial sums are read from that series, which keeps them.
     """
-    powers = _as_powers(a)
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"time step must be positive and finite, got {dt}")
-    alpha = powers.norm_inf * dt
+    if isinstance(a, TaylorSeries):
+        if a.dt != dt:
+            raise ValueError(f"series is at step {a.dt}, not {dt}")
+        series = a
+    else:
+        series = TaylorSeries(a, dt)
+    alpha = series.powers.norm_inf * dt
     log_alpha = math.log(alpha) if alpha > 0 else -math.inf
-    partial = np.eye(powers.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         for eta in range(1, cap + 1):
-            partial = partial + powers.power(eta) * _dt_pow_over_factorial(dt, eta)
+            partial = series.partial_sum(eta)
             zeta = alpha / (eta + 2)
             if zeta >= 1.0:
                 continue

@@ -21,7 +21,7 @@ from .reach import (ExponentialAccumulator, LinearSystem, ReachSegment,
                     propagate_step, propagated_error)
 from .taylor import (MatrixPowers, TaylorSeries, convergence_ratio,
                      max_taylor_order)
-from .zonotope import Zonotope, reduce_order
+from .zonotope import Zonotope
 
 DEFAULT_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 DEFAULT_SHRINK = 0.9
@@ -158,11 +158,12 @@ class _Workspace:
         finally:
             self.build_seconds += time.perf_counter() - mark
 
-    def order_cap(self, dt: float) -> int:
-        cap = self._caps.get(dt)
+    def order_cap(self, series: TaylorSeries) -> int:
+        """Cut-off order at the series' step size, read from its partial sums."""
+        cap = self._caps.get(series.dt)
         if cap is None:
-            cap = max_taylor_order(self.powers, dt)
-            self._caps[dt] = cap
+            cap = max_taylor_order(series, series.dt)
+            self._caps[series.dt] = cap
         return cap
 
 
@@ -179,7 +180,7 @@ def _try_orders(workspace: _Workspace, acc: ExponentialAccumulator,
     sys = workspace.sys
     series = workspace.build(TaylorSeries, workspace.powers, dt)
     retries = 0
-    for eta in range(1, workspace.order_cap(dt) + 1):
+    for eta in range(1, workspace.order_cap(series) + 1):
         retries += 1
         if (convergence_ratio(workspace.powers, dt, eta) >= 1.0
                 or not workspace.build(series.is_finite, eta)):
@@ -229,26 +230,72 @@ def reduce_accumulated(p_accum: Zonotope, budget: ErrorBudget,
                        horizon: float) -> tuple[Zonotope, float]:
     """Lower the order of the accumulated input set within its budget share.
 
-    Tentatively removes one generator per round (the n+1 lowest-scored
-    generators collapse to their box); a round is kept only while the
-    cumulative certified error of this step stays strictly below the
-    admissible share. Reduction is optional, so a zero budget disables it.
+    Reduces in rounds of one generator each: a round is ``reduce_order`` to
+    one generator fewer, so the n+1 lowest-scored generators collapse to
+    their box. A round is kept only while the cumulative certified error of
+    this step stays strictly below the admissible share. Reduction is
+    optional, so a zero budget disables it.
+
+    The rounds are replayed from one sort instead of re-scored each time.
+    Box columns score 0 and follow the original columns, so generators
+    leave in a fixed order: a queue of the zero-score originals by column,
+    then each round's box columns as they are made, and after it the
+    positive-score originals by score. The reduced set is built once.
     """
     n = p_accum.dim
     if p_accum.num_generators <= n or budget.reduction_max <= 0:
         return p_accum, 0.0
     admissible = admissible_reduction_error(budget, ledger, dt, t, horizon)
-    current = p_accum
+    g = p_accum.generators
+    score = np.abs(g).sum(axis=0) - np.abs(g).max(axis=0)
+    order = np.argsort(score, kind="stable")
+    zero_score = int(np.count_nonzero(score == 0.0))
+    # Queue position q < zero_score is column order[q] of g, and q >=
+    # zero_score is box column q - zero_score; ranked position r is column
+    # order[zero_score + r].
+    head = taken = 0  # queue and ranked items removed so far
+    box_axes: list[int] = []
+    box_values: list[float] = []
+
+    def columns(q_lo: int, q_hi: int, r_lo: int, r_hi: int) -> np.ndarray:
+        # originals by column index, then box columns as they were made
+        originals = np.sort(np.concatenate((
+            order[q_lo:min(q_hi, zero_score)],
+            order[zero_score + r_lo:zero_score + r_hi])))
+        b_lo = max(q_lo, zero_score) - zero_score
+        b_hi = max(q_hi, zero_score) - zero_score
+        box = np.zeros((n, b_hi - b_lo))
+        box[box_axes[b_lo:b_hi], range(b_hi - b_lo)] = box_values[b_lo:b_hi]
+        return np.hstack((g[:, originals], box))
+
+    left = g.shape[1]
     total = 0.0
-    while current.num_generators > n:
-        target = (current.num_generators - 1) / n
-        candidate, err = reduce_order(current, target)
+    while left > n:
+        # the generator count reduce_order keeps at target (left - 1) / n
+        max_gens = int(np.floor(n * ((left - 1) / n) + 1e-12))
+        count = left - (max_gens - n)
+        from_queue = min(count, zero_score + len(box_axes) - head)
+        # Fortran order is the layout of reduce_order's g[:, idx], which
+        # fixes the summation order of the box and of the error
+        removed = np.asfortranarray(columns(head, head + from_queue,
+                                            taken, taken + count - from_queue))
+        box_half = np.abs(removed).sum(axis=1)
+        widening = removed[:, np.count_nonzero(removed, axis=0) > 1]
+        err = float(np.linalg.norm(np.abs(widening).sum(axis=1)))
         if (total + err >= admissible
                 or ledger.reduction_acc + total + err > budget.reduction_max):
             break
-        current = candidate
         total += err
-    return current, total
+        head += from_queue
+        taken += count - from_queue
+        axes = np.flatnonzero(box_half)
+        box_axes.extend(axes.tolist())
+        box_values.extend(box_half[axes].tolist())
+        left += len(axes) - count
+    if head == 0 and taken == 0:
+        return p_accum, 0.0
+    kept = columns(head, zero_score + len(box_axes), taken, len(order) - zero_score)
+    return Zonotope._trusted(p_accum.center, kept), total
 
 
 def run(sys: LinearSystem, eps_max: float,

@@ -4,6 +4,11 @@ A zonotope is ``{c + G @ beta : ||beta||_inf <= 1}`` with center ``c`` and
 generator matrix ``G`` (one generator per column). All operations are pure;
 zero generator columns are dropped eagerly since they inflate the order
 without changing the set.
+
+The public constructor validates its input. The set operations below
+derive finite, well-shaped arrays from sets that already passed it, so they
+build their results through ``Zonotope._trusted`` without the checks,
+dropping zero columns only where an operation can create them.
 """
 
 from __future__ import annotations
@@ -31,13 +36,20 @@ class Zonotope:
                 f"generator rows {generators.shape[0]} != dimension {n}")
         if not (np.all(np.isfinite(center)) and np.all(np.isfinite(generators))):
             raise ValueError("zonotope data must be finite")
-        if generators.shape[1]:
-            nonzero = np.any(generators != 0.0, axis=0)
-            if not nonzero.all():
-                generators = generators[:, nonzero]
         self.center = center
         # fixed memory order keeps reductions deterministic across sources
-        self.generators = np.ascontiguousarray(generators)
+        self.generators = np.ascontiguousarray(_nonzero_columns(generators))
+
+    @classmethod
+    def _trusted(cls, center: np.ndarray, generators: np.ndarray) -> "Zonotope":
+        """Store a float center of length n and an ``(n, m)`` float generator
+        matrix without checks; the caller guarantees both are finite. Zero
+        columns are kept: pass ``_nonzero_columns(generators)`` where the
+        caller's operation can create them."""
+        z = object.__new__(cls)
+        z.center = center
+        z.generators = np.ascontiguousarray(generators)
+        return z
 
     @classmethod
     def point(cls, center: np.ndarray) -> "Zonotope":
@@ -70,12 +82,22 @@ class Zonotope:
         return f"Zonotope(dim={self.dim}, generators={self.num_generators})"
 
 
+def _nonzero_columns(g: np.ndarray) -> np.ndarray:
+    """``g`` without its all-zero columns."""
+    if g.shape[1]:
+        nonzero = np.any(g != 0.0, axis=0)
+        if not nonzero.all():
+            return g[:, nonzero]
+    return g
+
+
 def minkowski_sum(z1: Zonotope, z2: Zonotope) -> Zonotope:
     """Exact Minkowski sum: centers add, generator columns concatenate."""
     if z1.dim != z2.dim:
         raise ValueError(f"dimension mismatch: {z1.dim} vs {z2.dim}")
-    return Zonotope(z1.center + z2.center,
-                    np.hstack((z1.generators, z2.generators)))
+    # neither operand has a zero column, so neither has the result
+    return Zonotope._trusted(z1.center + z2.center,
+                             np.hstack((z1.generators, z2.generators)))
 
 
 def linear_map(m: np.ndarray, z: Zonotope) -> Zonotope:
@@ -83,7 +105,9 @@ def linear_map(m: np.ndarray, z: Zonotope) -> Zonotope:
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[1] != z.dim:
         raise ValueError(f"matrix columns {m.shape[1]} != dimension {z.dim}")
-    return Zonotope(m @ z.center, m @ z.generators)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return Zonotope._trusted(m @ z.center, _nonzero_columns(m @ z.generators))
 
 
 def interval_map(m: IntervalMatrix, z: Zonotope) -> Zonotope:
@@ -95,13 +119,15 @@ def interval_map(m: IntervalMatrix, z: Zonotope) -> Zonotope:
     if m.shape[1] != z.dim:
         raise ValueError(f"matrix columns {m.shape[1]} != dimension {z.dim}")
     mid = m.mid()
-    mapped = Zonotope(mid @ z.center, mid @ z.generators)
+    mapped = Zonotope._trusted(mid @ z.center, _nonzero_columns(mid @ z.generators))
     rad = m.rad()
     if not rad.any():
         return mapped
     reach_bound = np.abs(z.center) + np.abs(z.generators).sum(axis=1)
     halfwidths = rad @ reach_bound
-    return minkowski_sum(mapped, Zonotope.box(np.zeros(m.shape[0]), halfwidths))
+    box = Zonotope._trusted(np.zeros(m.shape[0]),
+                            _nonzero_columns(np.diag(halfwidths)))
+    return minkowski_sum(mapped, box)
 
 
 def hull_of(z1: Zonotope, z2: Zonotope) -> Zonotope:
@@ -119,7 +145,8 @@ def hull_of(z1: Zonotope, z2: Zonotope) -> Zonotope:
         h1, h2 = interval_hull(z1), interval_hull(z2)
         lo = min(h1.lo[0], h2.lo[0])
         hi = max(h1.hi[0], h2.hi[0])
-        return Zonotope([0.5 * (lo + hi)], [[0.5 * (hi - lo)]])
+        return Zonotope._trusted(np.array([0.5 * (lo + hi)]),
+                                 _nonzero_columns(np.array([[0.5 * (hi - lo)]])))
     g1, g2 = z1.generators, z2.generators
     width = max(g1.shape[1], g2.shape[1])
     if g1.shape[1] < width:
@@ -128,7 +155,7 @@ def hull_of(z1: Zonotope, z2: Zonotope) -> Zonotope:
         g2 = np.hstack((g2, np.zeros((z2.dim, width - g2.shape[1]))))
     diff = 0.5 * (z1.center - z2.center)
     gens = np.hstack((0.5 * (g1 + g2), 0.5 * (g1 - g2), diff[:, None]))
-    return Zonotope(0.5 * (z1.center + z2.center), gens)
+    return Zonotope._trusted(0.5 * (z1.center + z2.center), _nonzero_columns(gens))
 
 
 def hull_step(z: Zonotope, w: np.ndarray) -> Zonotope:
@@ -187,7 +214,8 @@ def reduce_order(z: Zonotope, target_order: float) -> tuple[Zonotope, float]:
     removed = g[:, np.sort(order_idx[:gamma - keep])]
     kept = g[:, np.sort(order_idx[gamma - keep:])]
     box_half = np.abs(removed).sum(axis=1)
-    reduced = Zonotope(z.center, np.hstack((kept, np.diag(box_half))))
+    reduced = Zonotope._trusted(
+        z.center, np.hstack((kept, _nonzero_columns(np.diag(box_half)))))
     widening = removed[:, np.count_nonzero(removed, axis=0) > 1]
     return reduced, float(np.linalg.norm(np.abs(widening).sum(axis=1)))
 

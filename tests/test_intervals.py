@@ -16,6 +16,24 @@ def test_interval_vector_validation():
         IntervalVector([np.nan], [1.0])
 
 
+
+def test_interval_matrix_validation():
+    m = IntervalMatrix([[0.0, -1.0]], [[1.0, -1.0]])
+    assert m.shape == (1, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            IntervalMatrix([[bad, 0.0]], [[1.0, 1.0]])
+        with pytest.raises(ValueError):
+            IntervalMatrix([[0.0, 0.0]], [[1.0, bad]])
+    with pytest.raises(ValueError):
+        IntervalMatrix([[0.0, 2.0]], [[1.0, 1.0]])
+    with pytest.raises(ValueError):
+        IntervalMatrix(np.zeros((2, 2)), np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        IntervalMatrix.symmetric([[-1.0]])
+    with pytest.raises(ValueError):
+        IntervalMatrix.from_point([[np.nan]])
+
 def test_add_identity_and_endpoints():
     m = IntervalMatrix(np.array([[-1.0, 0.0], [2.0, 3.0]]),
                        np.array([[1.0, 0.5], [2.5, 4.0]]))

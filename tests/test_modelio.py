@@ -188,3 +188,12 @@ def test_baseline_rejects_invalid_parameters():
         run_fixed_baseline(sys, dt=0.5, eta=0, rho=2.0)
     with pytest.raises(ValueError):
         run_fixed_baseline(sys, dt=0.5, eta=4, rho=0.5)
+
+
+def test_baseline_rejects_overflowing_taylor_terms():
+    # the powers of diag(-3000, -1) overflow at order 100 with dt 0.03
+    sys = LinearSystem(np.diag([-3000.0, -1.0]), Zonotope.box([1.0, 1.0], [0.1, 0.1]),
+                       Zonotope.box([0.0, 0.0], [0.05, 0.05]), 0.3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="overflow"):
+            run_fixed_baseline(sys, 0.03, 100, 10.0)

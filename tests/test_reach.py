@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from reachtune.intervals import IntervalMatrix
 from reachtune.reach import (ExponentialAccumulator, LinearSystem,
                              build_step_sets, homogeneous_step,
                              homogeneous_step_error, inhomogeneous_step,
@@ -151,6 +152,13 @@ def test_accumulator_encloses_true_exponential():
             truth = expm(a * dt * (k + 1))
             assert acc.enclosure.contains(truth, tol=1e-9)
 
+
+
+def test_advance_rejects_overflowing_enclosure():
+    acc = ExponentialAccumulator(IntervalMatrix.from_point([[1e300]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            acc.advanced(np.array([[1e10]]), IntervalMatrix.symmetric([[0.0]]), 0.1)
 
 def test_propagate_step_first_step_is_local():
     sys = scalar_system()

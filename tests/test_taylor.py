@@ -264,3 +264,39 @@ def test_series_finiteness_and_convergence():
     assert np.array_equal(fine.curvature(5).lo, curvature_enclosure(stiff, 1e-4, 5).lo)
     with pytest.raises(ValueError):
         TaylorSeries(stiff, 0.0)
+
+
+def test_checked_order_and_cut_off_reuse_the_series_terms():
+    # the cut-off read from a series equals the one computed from scratch
+    # and leaves its partial sums there; pieces kept by is_finite equal the
+    # per-order functions
+    rng = np.random.default_rng(61)
+    a = rng.uniform(-3, 3, size=(3, 3))
+    powers = MatrixPowers(a)
+    for dt in (0.05, 0.3):
+        series = TaylorSeries(powers, dt)
+        cap = max_taylor_order(series, dt)
+        assert cap == max_taylor_order(a, dt)
+        assert len(series._partial) == cap + 1
+        for eta in range(1, cap + 1):
+            if convergence_ratio(powers, dt, eta) >= 1:
+                continue
+            assert series.is_finite(eta)
+            curv = series.curvature(eta)
+            assert curv is series.curvature(eta)
+            expected = reference_pieces(powers, dt, eta)
+            assert all(np.array_equal(g, e)
+                       for g, e in zip(series_pieces(series, eta), expected))
+    with pytest.raises(ValueError):
+        max_taylor_order(TaylorSeries(powers, 0.05), 0.1)
+
+
+def test_unchecked_order_still_validates_its_pieces():
+    # without is_finite, an overflowing order's enclosures are rejected
+    # by the interval constructor, not returned
+    coarse = TaylorSeries(MatrixPowers(np.diag([-3000.0, -1.0])), 0.03)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            coarse.curvature(100)
+        with pytest.raises(ValueError):
+            coarse.correction(100)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachtune.reach import LinearSystem
 from reachtune.tuner import (ErrorBudget, ErrorLedger, ReachResult, StepRecord,
@@ -207,6 +209,153 @@ def test_reduce_accumulated_respects_admissible_brute_force():
         assert out.num_generators <= p.num_generators
         gap = max(support(out, d) - support(p, d) for d in dirs)
         assert gap <= err + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The single-pass reduction against the per-round loop it replays.
+# ---------------------------------------------------------------------------
+
+def reduce_by_rounds(p_accum, budget, ledger, dt, t, horizon):
+    """Per-round reference: ``reduce_order`` to one generator fewer per round,
+    re-scoring and re-sorting every generator each time. Also returns the
+    number of rounds kept."""
+    n = p_accum.dim
+    if p_accum.num_generators <= n or budget.reduction_max <= 0:
+        return p_accum, 0.0, 0
+    admissible = admissible_reduction_error(budget, ledger, dt, t, horizon)
+    current = p_accum
+    total = 0.0
+    rounds = 0
+    while current.num_generators > n:
+        target = (current.num_generators - 1) / n
+        candidate, err = reduce_order(current, target)
+        if (total + err >= admissible
+                or ledger.reduction_acc + total + err > budget.reduction_max):
+            break
+        current = candidate
+        total += err
+        rounds += 1
+    return current, total, rounds
+
+
+def round_errors(p):
+    """Certified error of every round down to order 1, in round order."""
+    errors = []
+    while p.num_generators > p.dim:
+        p, err = reduce_order(p, (p.num_generators - 1) / p.dim)
+        errors.append(err)
+    return errors
+
+
+def budget_stopping_after(p, rounds):
+    # with dt = horizon - t the admissible share is the whole budget; a
+    # budget equal to the running total through round ``rounds + 1`` stops
+    # the loop there
+    total = 0.0
+    for err in round_errors(p)[:rounds + 1]:
+        total += err
+    return ErrorBudget(0.0, 0.0, total)
+
+
+def assert_same_reduction(p, budget, ledger, dt=1.0, t=0.0, horizon=1.0):
+    ref, ref_err, rounds = reduce_by_rounds(p, budget, ledger, dt, t, horizon)
+    out, err = reduce_accumulated(p, budget, ledger, dt, t, horizon)
+    assert (out is p) == (ref is p)
+    assert np.array_equal(out.center, ref.center)
+    assert out.generators.shape == ref.generators.shape
+    assert np.array_equal(out.generators, ref.generators)
+    assert err == ref_err
+    return rounds
+
+
+ENTRIES = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
+                    st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def generator_columns(draw, n):
+    kind = draw(st.sampled_from(["axis", "axis", "dense", "tiny", "tied"]))
+    col = np.zeros(n)
+    if kind == "axis":
+        # several per axis, and often on few axes, so that box rounds
+        # leave zero halfwidths
+        col[draw(st.integers(0, min(n - 1, 1)))] = draw(
+            st.sampled_from([0.25, 1.0, -1.0, 2.0]))
+    elif kind == "dense":
+        col[:] = draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    elif kind == "tiny":
+        # not axis-aligned, yet its score 1 + 1e-17 - 1 rounds to 0
+        col[0] = 1.0
+        col[-1] += 1e-17
+    else:
+        # one magnitude pattern, signs and order varied: equal scores
+        base = 2.0 ** -(np.arange(n) % 4)
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+        col[:] = np.roll(base, draw(st.integers(0, n - 1))) * signs
+    return col
+
+
+@st.composite
+def accumulated_sets(draw):
+    # past 8 summands numpy's row sums depend on the memory layout, so
+    # dimensions up to 10 check that the box and error are summed as in
+    # reduce_order
+    n = draw(st.integers(1, 10))
+    cols = draw(st.lists(generator_columns(n), min_size=1, max_size=4 * n + 6))
+    center = draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    return Zonotope(center, np.column_stack(cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=accumulated_sets(),
+       stop=st.one_of(st.sampled_from(["none", "all"]), st.integers(0, 12),
+                      st.floats(1e-6, 10.0)),
+       dt=st.sampled_from([1.0, 0.5]),
+       spent=st.sampled_from([0.0, 0.25]))
+def test_reduce_accumulated_equals_per_round_loop(p, stop, dt, spent):
+    if stop == "none":
+        budget, spent = ErrorBudget(0.0, 0.0, 1.0), 1.0
+    elif stop == "all":
+        budget = ErrorBudget(0.0, 0.0, 1e12)
+    elif isinstance(stop, int):
+        budget = budget_stopping_after(p, stop)
+        budget = ErrorBudget(0.0, 0.0, budget.reduction_max + spent)
+    else:
+        budget = ErrorBudget(0.0, 0.0, stop)
+    ledger = ErrorLedger(reduction_acc=min(spent, budget.reduction_max))
+    assert_same_reduction(p, budget, ledger, dt=dt)
+
+
+def test_reduce_accumulated_equals_per_round_loop_on_dense_sets():
+    rng = np.random.default_rng(31)
+    for n in (2, 9, 12):
+        p = Zonotope(rng.uniform(-1, 1, n),
+                     rng.uniform(-1, 1, (n, 6 * n)) * 10.0 ** rng.integers(-6, 3, 6 * n))
+        for rounds in (1, 2, n, 3 * n):
+            assert_same_reduction(p, budget_stopping_after(p, rounds), ErrorLedger())
+        assert_same_reduction(p, ErrorBudget(0.0, 0.0, 1e12), ErrorLedger(), dt=0.5)
+
+
+def test_reduce_accumulated_stops_after_none_one_and_all_rounds():
+    # the first round removes the four zero-score columns, which span two
+    # of three axes, so its box has a zero halfwidth and the second round
+    # removes two non-axis generators at once; [1, 1e-17, 0] scores 0 but
+    # is not axis-aligned, so the first round still pays for it
+    g = np.array([[1.0, 0.0, 1.0, 0.5, 0.3, -0.2, 1.0, 2.0, 0.7],
+                  [0.0, 1.0, 1e-17, 0.0, 0.4, 0.9, 1.0, -1.0, 0.7],
+                  [0.0, 0.0, 0.0, 0.0, 0.5, 0.1, 1.0, 0.5, 0.7]])
+    p = Zonotope([0.5, -1.0, 2.0], g)
+    errors = round_errors(p)
+    assert errors[0] > 0.0 and errors[1] > 0.0
+    assert assert_same_reduction(p, ErrorBudget(0.0, 0.0, 1.0),
+                                 ErrorLedger(reduction_acc=1.0)) == 0
+    assert assert_same_reduction(p, budget_stopping_after(p, 1),
+                                 ErrorLedger()) == 1
+    assert assert_same_reduction(p, ErrorBudget(0.0, 0.0, 1e12),
+                                 ErrorLedger()) == len(errors)
+    out, _ = reduce_accumulated(p, ErrorBudget(0.0, 0.0, 1e12), ErrorLedger(),
+                                1.0, 0.0, 1.0)
+    assert out.num_generators <= p.dim
 
 
 # ---------------------------------------------------------------------------

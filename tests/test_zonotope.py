@@ -48,6 +48,39 @@ def test_zonotope_validation():
         Zonotope([np.inf], np.ones((1, 1)))
 
 
+def test_zonotope_rejects_non_finite_generators():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            Zonotope([0.0, 0.0], [[1.0, bad], [0.0, 1.0]])
+        with pytest.raises(ValueError):
+            Zonotope.box([0.0, 0.0], [1.0, bad])
+    with pytest.raises(ValueError):
+        Zonotope.box([0.0, 0.0], [1.0, -1.0])
+    # a point matrix from the caller is checked before it maps a set
+    with pytest.raises(ValueError):
+        linear_map([[1.0, np.nan], [0.0, 1.0]], Zonotope([0.0, 0.0], np.eye(2)))
+
+
+def test_set_operations_drop_the_zero_columns_they_create():
+    z = Zonotope([1.0, 2.0], [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    # a singular map sends the second generator to zero
+    assert linear_map(np.diag([1.0, 0.0]), z).num_generators == 2
+    # interval_map's box has a zero halfwidth in the row without radius
+    m = IntervalMatrix(np.eye(2) - [[0.1, 0.0], [0.0, 0.0]], np.eye(2))
+    mapped = interval_map(m, z)
+    assert mapped.num_generators == 4
+    assert np.count_nonzero(mapped.generators[:, -1]) == 1
+    # the hull of a set with itself: differences and the center gap vanish
+    assert hull_step(z, np.eye(2)).num_generators == 3
+    # reduce_order's box of axis-aligned generators along one axis
+    reduced, err = reduce_order(Zonotope([0.0, 0.0], [[1.0, 2.0, 0.5, 1.0],
+                                                      [0.0, 0.0, 0.0, 1.0]]), 1.5)
+    assert reduced.num_generators == 2 and err == 0.0
+    for out in (mapped, reduced, minkowski_sum(z, reduced)):
+        assert np.all(np.any(out.generators != 0.0, axis=0))
+        assert out.generators.flags["C_CONTIGUOUS"]
+
+
 def test_minkowski_sum_identity_point():
     z = Zonotope([1.0, -1.0], np.array([[1.0, 0.0], [0.5, 2.0]]))
     total = minkowski_sum(z, Zonotope.point([0.0, 0.0]))
