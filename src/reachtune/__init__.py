@@ -15,7 +15,7 @@ from .reach import ExponentialAccumulator, LinearSystem, ReachSegment, StepSets
 from .sampling import TrajectoryBatch, check_containment, sample_trajectories
 from .taylor import NotConvergentError, max_taylor_order
 from .tuner import (ErrorBudget, ErrorLedger, ReachResult, StepRecord,
-                    TuningFailedError, run, split_budget)
+                    TuningFailedError, run)
 from .zonotope import (Zonotope, contains_point, enclosure_radius, hull_step,
                        interval_hull, interval_map, linear_map, minkowski_sum,
                        reduce_order, support)
@@ -32,5 +32,5 @@ __all__ = [
     "interval_map", "linear_map", "load_model", "max_taylor_order",
     "minkowski_sum", "random_system", "read_result", "reduce_order", "run",
     "run_adaptive", "run_fixed_baseline", "sample_trajectories", "save_model",
-    "split_budget", "support", "write_result",
+    "support", "write_result",
 ]

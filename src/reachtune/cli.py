@@ -5,18 +5,16 @@ Subcommands: ``run`` (adaptive analysis), ``baseline`` (fixed parameters),
 ``sample`` (trajectory oracle). Exit codes: 0 completed and all specs hold,
 2 a spec is violated, 3 input error, 4 internal failure.
 
-``reach run`` accepts ``--model`` several times; extra models run in a
-thread pool capped by the ``REACH_THREADS`` environment variable, and the
-output paths must then contain ``{}`` as a placeholder for the model stem.
+``reach run`` accepts ``--model`` several times; the models run one after
+another, and the output paths must then contain ``{}`` as a placeholder for
+the model stem.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .modelio import (ModelError, check_specs, load_model, random_system,
@@ -41,19 +39,6 @@ class _Parser(argparse.ArgumentParser):
     # spec-violation code; route usage problems to the input-error code.
     def error(self, message):
         raise _UsageError(message)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("REACH_THREADS", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise _UsageError(f"REACH_THREADS must be an integer, got {raw!r}") from exc
-        if value < 1:
-            raise _UsageError(f"REACH_THREADS must be >= 1, got {value}")
-        return value
-    return min(4, os.cpu_count() or 1)
 
 
 def _parse_weights(raw: str) -> tuple[float, float, float]:
@@ -105,14 +90,8 @@ def _cmd_run(args) -> int:
             report_path=_expand(args.report, stem, multi))
         return path, result, report, specs
 
-    if multi:
-        with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-            outcomes = list(pool.map(analyze, args.model))
-    else:
-        outcomes = [analyze(args.model[0])]
-
     code = EXIT_OK
-    for path, result, report, specs in outcomes:
+    for path, result, report, specs in [analyze(p) for p in args.model]:
         print(f"{path}: steps={report.steps} "
               f"dt=[{report.dt_min:.6g}, {report.dt_max:.6g}] "
               f"wall={report.wall_time:.3g}s "
@@ -183,7 +162,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("run", help="adaptive analysis with an error budget")
     p.add_argument("--model", action="append", required=True,
-                   help="model file (repeatable; see REACH_THREADS)")
+                   help="model file (repeatable; models run one after another)")
     p.add_argument("--eps", type=float, required=True,
                    help="global error bound eps_max")
     p.add_argument("--weights", help="budget split h,p,s (default 1/3 each)")

@@ -149,12 +149,3 @@ def scaled_bounds(coeff_lo: float, coeff_hi: float,
     b = coeff_hi * point
     return np.minimum(a, b), np.maximum(a, b)
 
-
-def im_add(m1: IntervalMatrix, m2: IntervalMatrix) -> IntervalMatrix:
-    """Minkowski sum of two interval matrices (entrywise endpoint sums)."""
-    return m1 + m2
-
-
-def im_mul(m1: IntervalMatrix, m2: IntervalMatrix) -> IntervalMatrix:
-    """Product enclosure containing ``{X @ Y : X in m1, Y in m2}``."""
-    return m1 @ m2

@@ -1,48 +1,26 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-The backend is chosen once at import time from the environment variable
-``REACH_BACKEND``:
-
-* ``numba``  - require the JIT kernels (raises if numba is missing),
-* ``numpy``  - force the pure-numpy implementations,
-* unset     - use numba when importable, numpy otherwise.
-
-Both paths compute the same quantities; they may differ in the last ulp
-because summation order differs. ``benchmarks/bench_kernels.py`` compares
-their throughput.
-"""
+"""Hot numeric kernels, in numpy: the interval matrix product and the
+batched RK4 integrator of the trajectory oracle."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_CHOICE = os.environ.get("REACH_BACKEND", "").strip().lower()
-if _CHOICE not in ("", "numba", "numpy"):
-    raise ValueError(f"REACH_BACKEND must be 'numba' or 'numpy', got {_CHOICE!r}")
-
-_HAVE_NUMBA = False
-if _CHOICE in ("", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _CHOICE == "numba":
-            raise
 
 
 def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the kernel implementation: always ``"numpy"``, the only one."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# Interval matrix product: exact per-entry endpoint enumeration.
-# ---------------------------------------------------------------------------
+def interval_matmul(lo1: np.ndarray, hi1: np.ndarray,
+                    lo2: np.ndarray, hi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise-tightest enclosure of {X @ Y : lo1<=X<=hi1, lo2<=Y<=hi2}.
 
-def _interval_matmul_numpy(lo1, hi1, lo2, hi2):
+    Each term's four endpoint products are enumerated exactly.
+    """
+    lo1 = np.ascontiguousarray(lo1, dtype=np.float64)
+    hi1 = np.ascontiguousarray(hi1, dtype=np.float64)
+    lo2 = np.ascontiguousarray(lo2, dtype=np.float64)
+    hi2 = np.ascontiguousarray(hi2, dtype=np.float64)
     p1 = lo1[:, :, None] * lo2[None, :, :]
     p2 = lo1[:, :, None] * hi2[None, :, :]
     p3 = hi1[:, :, None] * lo2[None, :, :]
@@ -50,70 +28,6 @@ def _interval_matmul_numpy(lo1, hi1, lo2, hi2):
     lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)).sum(axis=1)
     hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)).sum(axis=1)
     return lo, hi
-
-
-def _interval_matmul_loops(lo1, hi1, lo2, hi2):
-    n, k = lo1.shape
-    m = lo2.shape[1]
-    lo = np.empty((n, m))
-    hi = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc_lo = 0.0
-            acc_hi = 0.0
-            for p in range(k):
-                a = lo1[i, p]
-                b = hi1[i, p]
-                c = lo2[p, j]
-                d = hi2[p, j]
-                q1 = a * c
-                q2 = a * d
-                q3 = b * c
-                q4 = b * d
-                acc_lo += min(min(q1, q2), min(q3, q4))
-                acc_hi += max(max(q1, q2), max(q3, q4))
-            lo[i, j] = acc_lo
-            hi[i, j] = acc_hi
-    return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# Batched fixed-step RK4 for x' = A x + u with piecewise-constant u.
-# ---------------------------------------------------------------------------
-
-def _rk4_piecewise_numpy(a_t, states, inputs, steps_per_piece, h, out):
-    # a_t is A transposed so that (m, n) state batches right-multiply it.
-    idx = 0
-    out[0] = states
-    x = states
-    for p in range(inputs.shape[0]):
-        u = inputs[p]
-        for _ in range(steps_per_piece):
-            k1 = x @ a_t + u
-            k2 = (x + 0.5 * h * k1) @ a_t + u
-            k3 = (x + 0.5 * h * k2) @ a_t + u
-            k4 = (x + h * k3) @ a_t + u
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            idx += 1
-            out[idx] = x
-    return out
-
-
-if _HAVE_NUMBA:
-    _interval_matmul_fast = njit(cache=True)(_interval_matmul_loops)
-    _rk4_piecewise_fast = njit(cache=True)(_rk4_piecewise_numpy)
-
-
-def interval_matmul(lo1: np.ndarray, hi1: np.ndarray,
-                    lo2: np.ndarray, hi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise-tightest enclosure of {X @ Y : lo1<=X<=hi1, lo2<=Y<=hi2}."""
-    lo1 = np.ascontiguousarray(lo1, dtype=np.float64)
-    hi1 = np.ascontiguousarray(hi1, dtype=np.float64)
-    lo2 = np.ascontiguousarray(lo2, dtype=np.float64)
-    hi2 = np.ascontiguousarray(hi2, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return _interval_matmul_fast(lo1, hi1, lo2, hi2)
-    return _interval_matmul_numpy(lo1, hi1, lo2, hi2)
 
 
 def rk4_piecewise(a: np.ndarray, states: np.ndarray, inputs: np.ndarray,
@@ -125,11 +39,23 @@ def rk4_piecewise(a: np.ndarray, states: np.ndarray, inputs: np.ndarray,
     ``steps_per_piece`` RK4 steps of size ``h``. Returns every intermediate
     state, shape (pieces * steps_per_piece + 1, m, n).
     """
+    # A transposed, so that (m, n) state batches right-multiply it
     a_t = np.ascontiguousarray(a.T, dtype=np.float64)
     states = np.ascontiguousarray(states, dtype=np.float64)
     inputs = np.ascontiguousarray(inputs, dtype=np.float64)
     total = inputs.shape[0] * steps_per_piece + 1
     out = np.empty((total,) + states.shape)
-    if _HAVE_NUMBA:
-        return _rk4_piecewise_fast(a_t, states, inputs, steps_per_piece, h, out)
-    return _rk4_piecewise_numpy(a_t, states, inputs, steps_per_piece, h, out)
+    out[0] = states
+    x = states
+    idx = 0
+    for p in range(inputs.shape[0]):
+        u = inputs[p]
+        for _ in range(steps_per_piece):
+            k1 = x @ a_t + u
+            k2 = (x + 0.5 * h * k1) @ a_t + u
+            k3 = (x + 0.5 * h * k2) @ a_t + u
+            k4 = (x + h * k3) @ a_t + u
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            idx += 1
+            out[idx] = x
+    return out

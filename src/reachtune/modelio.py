@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -92,8 +92,7 @@ def _zonotope_to_json(z: Zonotope) -> dict:
     return {"center": z.center.tolist(), "generators": z.generators.T.tolist()}
 
 
-def load_model(path) -> tuple[LinearSystem, list[SafetySpec]]:
-    """Read and validate a model file; returns the system and its specs."""
+def _read_json_object(path) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -101,6 +100,12 @@ def load_model(path) -> tuple[LinearSystem, list[SafetySpec]]:
         raise ModelError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
     _require(isinstance(raw, dict), f"{path}: top level must be an object")
+    return raw
+
+
+def load_model(path) -> tuple[LinearSystem, list[SafetySpec]]:
+    """Read and validate a model file; returns the system and its specs."""
+    raw = _read_json_object(path)
     for name in ("A", "X0", "U", "T"):
         _require(name in raw, f"missing field {name}")
     a = np.asarray(raw["A"], dtype=float)
@@ -282,9 +287,27 @@ def write_report(path, report: RunReport) -> None:
         fh.write("\n")
 
 
+# JSON types of the report fields; every other field is a number
+_REPORT_TYPES = {"dimension": int, "steps": int,
+                 "budget": (dict, type(None)), "series": dict}
+
+
 def read_report(path) -> RunReport:
-    with open(path) as fh:
-        obj = json.load(fh)
+    """Read and validate a report file as ``write_report`` writes it."""
+    obj = _read_json_object(path)
+    known = {f.name: f for f in fields(RunReport)}
+    for name in obj:
+        _require(name in known, f"{path}: unknown field {name}")
+    for name, f in known.items():
+        if name not in obj:
+            _require(f.default_factory is not MISSING,
+                     f"{path}: missing field {name}")
+            continue
+        value = obj[name]
+        _require(isinstance(value, _REPORT_TYPES.get(name, (int, float)))
+                 and not isinstance(value, bool),
+                 f"{path}: field {name} has the wrong type "
+                 f"{type(value).__name__}")
     return RunReport(**obj)
 
 

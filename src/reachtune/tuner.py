@@ -66,11 +66,6 @@ class ErrorBudget:
         return cls(eps_max * w[0], eps_max * w[1], eps_max * w[2])
 
 
-def split_budget(eps_max: float,
-                 weights: tuple[float, float, float] = DEFAULT_WEIGHTS) -> ErrorBudget:
-    return ErrorBudget.split(eps_max, weights)
-
-
 @dataclass(frozen=True)
 class StepRecord:
     """Accepted parameters and error values of one step."""
@@ -104,24 +99,14 @@ class ErrorLedger:
         return max((r.hom_error for r in self.records), default=0.0)
 
 
-def admissible_input_error(budget: ErrorBudget, ledger: ErrorLedger,
-                           dt: float, t: float, horizon: float) -> float:
-    """Per-step share of the remaining input-error budget, linear in dt."""
+def admissible_share(remaining: float, dt: float, t: float,
+                     horizon: float) -> float:
+    """Per-step share of a remaining accumulating budget, linear in dt."""
     if not t < horizon:
         raise ValueError(f"t={t} must be below the horizon {horizon}")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return (budget.input_max - ledger.input_acc) * dt / (horizon - t)
-
-
-def admissible_reduction_error(budget: ErrorBudget, ledger: ErrorLedger,
-                               dt: float, t: float, horizon: float) -> float:
-    """Per-step share of the remaining reduction-error budget."""
-    if not t < horizon:
-        raise ValueError(f"t={t} must be below the horizon {horizon}")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return (budget.reduction_max - ledger.reduction_acc) * dt / (horizon - t)
+    return remaining * dt / (horizon - t)
 
 
 @dataclass(frozen=True)
@@ -212,7 +197,8 @@ def tune_step(sys: LinearSystem, acc: ExponentialAccumulator,
     dt = dt_prev / shrink
     retries = 0
     while True:
-        admissible = admissible_input_error(budget, ledger, dt, t, sys.horizon)
+        admissible = admissible_share(budget.input_max - ledger.input_acc,
+                                      dt, t, sys.horizon)
         step, tried = _try_orders(workspace, acc, budget, ledger, dt, admissible)
         retries += tried
         if step is not None:
@@ -245,7 +231,8 @@ def reduce_accumulated(p_accum: Zonotope, budget: ErrorBudget,
     n = p_accum.dim
     if p_accum.num_generators <= n or budget.reduction_max <= 0:
         return p_accum, 0.0
-    admissible = admissible_reduction_error(budget, ledger, dt, t, horizon)
+    admissible = admissible_share(budget.reduction_max - ledger.reduction_acc,
+                                  dt, t, horizon)
     g = p_accum.generators
     score = np.abs(g).sum(axis=0) - np.abs(g).max(axis=0)
     order = np.argsort(score, kind="stable")
@@ -366,7 +353,8 @@ def _retune_clamped(sys: LinearSystem, acc: ExponentialAccumulator,
                     required: bool = True) -> TunedStep | None:
     """Re-tune the final step at the exact remaining width (order only)."""
     dt = sys.horizon - t
-    admissible = admissible_input_error(budget, ledger, dt, t, sys.horizon)
+    admissible = admissible_share(budget.input_max - ledger.input_acc,
+                                  dt, t, sys.horizon)
     step, tried = _try_orders(workspace, acc, budget, ledger, dt, admissible)
     if step is None:
         if required:

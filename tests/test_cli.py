@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -155,30 +154,26 @@ def test_multi_model_requires_placeholder(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_multi_model_batch_with_threads(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REACH_THREADS", "2")
+def test_multi_model_batch_runs_serially(tmp_path, capsys):
     m1 = gen_model(tmp_path, "m1.json", seed=1)
     m2 = gen_model(tmp_path, "m2.json", seed=2)
-    out = tmp_path / "{}.jsonl"
-    rep = tmp_path / "{}.report.json"
-    code = main(["run", "--model", str(m1), "--model", str(m2),
-                 "--eps", "0.05", "--out", str(out), "--report", str(rep)])
-    assert code == 0
-    assert (tmp_path / "m1.jsonl").exists()
-    assert (tmp_path / "m2.jsonl").exists()
-    assert read_report(tmp_path / "m1.report.json").dimension == 2
-    lines = capsys.readouterr().out
-    assert "m1.json" in lines and "m2.json" in lines
-
-
-def test_reach_threads_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REACH_THREADS", "zero")
-    m1 = gen_model(tmp_path, "m1.json", seed=1)
-    m2 = gen_model(tmp_path, "m2.json", seed=2)
-    code = main(["run", "--model", str(m1), "--model", str(m2),
-                 "--eps", "0.05", "--out", str(tmp_path / "{}.jsonl")])
-    assert code == 3
+    single = tmp_path / "single"
+    single.mkdir()
+    for model in (m1, m2):
+        assert main(["run", "--model", str(model), "--eps", "0.05",
+                     "--out", str(single / f"{model.stem}.jsonl")]) == 0
     capsys.readouterr()
+    # m2 first: the print order is the --model order, not the file names'
+    code = main(["run", "--model", str(m2), "--model", str(m1),
+                 "--eps", "0.05", "--out", str(tmp_path / "{}.jsonl"),
+                 "--report", str(tmp_path / "{}.report.json")])
+    assert code == 0
+    for stem in ("m1", "m2"):
+        assert ((tmp_path / f"{stem}.jsonl").read_bytes()
+                == (single / f"{stem}.jsonl").read_bytes())
+    assert read_report(tmp_path / "m1.report.json").dimension == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [str(m2), str(m1)]
 
 
 def test_gen_model_round_trips(tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from reachtune.intervals import (IntervalMatrix, IntervalVector, im_add,
-                                 im_mul, scaled_interval_times_matrix)
+from reachtune.intervals import (IntervalMatrix, IntervalVector,
+                                 scaled_interval_times_matrix)
 
 
 def test_interval_vector_validation():
@@ -38,13 +38,13 @@ def test_add_identity_and_endpoints():
     m = IntervalMatrix(np.array([[-1.0, 0.0], [2.0, 3.0]]),
                        np.array([[1.0, 0.5], [2.5, 4.0]]))
     zero = IntervalMatrix.from_point(np.zeros((2, 2)))
-    total = im_add(zero, m)
+    total = zero + m
     np.testing.assert_array_equal(total.lo, m.lo)
     np.testing.assert_array_equal(total.hi, m.hi)
 
     a = IntervalMatrix(np.array([[-1.0]]), np.array([[1.0]]))
     b = IntervalMatrix(np.array([[2.0]]), np.array([[3.0]]))
-    total = im_add(a, b)
+    total = a + b
     assert total.lo[0, 0] == 1.0 and total.hi[0, 0] == 4.0
 
 
@@ -54,13 +54,13 @@ def test_add_with_negation_contains_zero():
     hi = lo + rng.uniform(0, 2, size=(3, 3))
     m = IntervalMatrix(lo, hi)
     neg = IntervalMatrix(-hi, -lo)
-    total = im_add(m, neg)
+    total = m + neg
     assert total.contains(np.zeros((3, 3)))
 
 
 def test_add_dimension_mismatch():
     with pytest.raises(ValueError):
-        im_add(IntervalMatrix.identity(2), IntervalMatrix.identity(3))
+        IntervalMatrix.identity(2) + IntervalMatrix.identity(3)
 
 
 def test_mul_identity_and_annihilator():
@@ -68,12 +68,12 @@ def test_mul_identity_and_annihilator():
     lo = rng.uniform(-2, 0, size=(3, 3))
     m = IntervalMatrix(lo, lo + rng.uniform(0, 2, size=(3, 3)))
     eye = IntervalMatrix.identity(3)
-    prod = im_mul(eye, m)
+    prod = eye @ m
     np.testing.assert_allclose(prod.lo, m.lo, atol=1e-15)
     np.testing.assert_allclose(prod.hi, m.hi, atol=1e-15)
 
     zero = IntervalMatrix.from_point(np.zeros((3, 3)))
-    prod = im_mul(zero, m)
+    prod = zero @ m
     np.testing.assert_array_equal(prod.lo, np.zeros((3, 3)))
     np.testing.assert_array_equal(prod.hi, np.zeros((3, 3)))
 
@@ -81,7 +81,7 @@ def test_mul_identity_and_annihilator():
 def test_mul_scalar_endpoint_enumeration():
     a = IntervalMatrix(np.array([[1.0]]), np.array([[2.0]]))
     b = IntervalMatrix(np.array([[-1.0]]), np.array([[1.0]]))
-    prod = im_mul(a, b)
+    prod = a @ b
     # oracle: enumerate the four endpoint products
     candidates = [x * y for x in (1.0, 2.0) for y in (-1.0, 1.0)]
     assert prod.lo[0, 0] == min(candidates)
@@ -102,7 +102,7 @@ def test_mul_encloses_sampled_products():
             w2 = rng.integers(0, 3, size=(n, n)) * 0.5
             x = m1.lo * (1 - w1) + m1.hi * w1
             y = m2.lo * (1 - w2) + m2.hi * w2
-            prod = im_mul(m1, m2)
+            prod = m1 @ m2
             slack = 1e-12 * (1 + np.abs(x @ y))
             assert np.all(x @ y >= prod.lo - slack)
             assert np.all(x @ y <= prod.hi + slack)

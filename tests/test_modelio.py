@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,39 @@ def test_report_round_trip(tmp_path):
     assert loaded.dimension == 2
     assert len(loaded.series["dt"]) == report.steps
     assert loaded.budget["total"] == pytest.approx(0.05)
+
+
+def written_report(tmp_path):
+    """A report file as ``write_report`` writes it, and its JSON object."""
+    _, report = run_adaptive(random_system(2, seed=4), 0.05)
+    path = tmp_path / "report.json"
+    write_report(path, report)
+    return report, path, json.loads(path.read_text())
+
+
+def test_written_report_reads_back_equal(tmp_path):
+    report, path, _ = written_report(tmp_path)
+    assert read_report(path) == report
+
+
+@pytest.mark.parametrize("make_text, message", [
+    (lambda obj: '{"dimension": 2,', "invalid JSON at line 1"),
+    (lambda obj: "[1, 2]", "top level must be an object"),
+    (lambda obj: json.dumps({k: v for k, v in obj.items() if k != "steps"}),
+     "missing field steps"),
+    (lambda obj: json.dumps({**obj, "stepz": 3}), "unknown field stepz"),
+    (lambda obj: json.dumps({**obj, "steps": 2.5}), "field steps has the wrong type"),
+    (lambda obj: json.dumps({**obj, "steps": True}), "field steps has the wrong type"),
+    (lambda obj: json.dumps({**obj, "dt_min": "0.1"}), "field dt_min has the wrong type"),
+    (lambda obj: json.dumps({**obj, "budget": [0.05]}), "field budget has the wrong type"),
+    (lambda obj: json.dumps({**obj, "series": None}), "field series has the wrong type"),
+], ids=["invalid-json", "non-object", "missing-field", "unknown-field",
+        "steps-float", "steps-bool", "dt_min-string", "budget-list", "series-null"])
+def test_read_report_rejects_malformed_file(tmp_path, make_text, message):
+    _, path, obj = written_report(tmp_path)
+    path.write_text(make_text(obj))
+    with pytest.raises(ModelError, match=re.escape(f"{path}: {message}")):
+        read_report(path)
 
 
 def test_check_specs_static_example():

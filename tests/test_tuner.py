@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from reachtune.reach import LinearSystem
 from reachtune.tuner import (ErrorBudget, ErrorLedger, ReachResult, StepRecord,
-                             TuningFailedError, admissible_input_error,
-                             admissible_reduction_error, reduce_accumulated,
-                             run, split_budget)
+                             TuningFailedError, admissible_share,
+                             reduce_accumulated, run)
 from reachtune.zonotope import (Zonotope, interval_hull, reduce_order, support)
 
 
@@ -18,7 +17,7 @@ def unit_box(n, center=0.0, half=1.0):
 
 
 def test_split_budget_default_thirds():
-    budget = split_budget(0.05)
+    budget = ErrorBudget.split(0.05)
     assert budget.hom_max == pytest.approx(0.05 / 3)
     assert budget.input_max == pytest.approx(0.05 / 3)
     assert budget.reduction_max == pytest.approx(0.05 / 3)
@@ -26,7 +25,7 @@ def test_split_budget_default_thirds():
 
 
 def test_split_budget_degenerate_weights():
-    budget = split_budget(0.05, (1.0, 0.0, 0.0))
+    budget = ErrorBudget.split(0.05, (1.0, 0.0, 0.0))
     assert budget.hom_max == 0.05
     assert budget.input_max == 0.0
     assert budget.reduction_max == 0.0
@@ -36,44 +35,43 @@ def test_split_budget_total_reproduced():
     rng = np.random.default_rng(1)
     for _ in range(20):
         w = rng.dirichlet([1.0, 1.0, 1.0])
-        budget = split_budget(0.2, tuple(w))
+        budget = ErrorBudget.split(0.2, tuple(w))
         assert budget.total == pytest.approx(0.2, rel=1e-12)
 
 
 def test_split_budget_invalid():
     with pytest.raises(ValueError):
-        split_budget(0.0)
+        ErrorBudget.split(0.0)
     with pytest.raises(ValueError):
-        split_budget(0.05, (0.5, 0.5, 0.5))
+        ErrorBudget.split(0.05, (0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
-        split_budget(0.05, (-0.5, 1.0, 0.5))
+        ErrorBudget.split(0.05, (-0.5, 1.0, 0.5))
 
 
-def test_admissible_input_error_values():
-    budget = ErrorBudget(0.0, 0.05, 0.0)
+@pytest.mark.parametrize("channel", ["input", "reduction"])
+def test_admissible_share_values(channel):
+    budget = (ErrorBudget(0.0, 0.05, 0.0) if channel == "input"
+              else ErrorBudget(0.0, 0.0, 0.05))
     ledger = ErrorLedger()
-    assert admissible_input_error(budget, ledger, 0.3, 0.0, 3.0) \
-        == pytest.approx(0.005)
+
+    def share(acc, dt, t, horizon):
+        # the expression the tuner passes for this channel
+        setattr(ledger, f"{channel}_acc", acc)
+        return admissible_share(getattr(budget, f"{channel}_max")
+                                - getattr(ledger, f"{channel}_acc"),
+                                dt, t, horizon)
+
+    assert share(0.0, 0.3, 0.0, 3.0) == pytest.approx(0.005)
     # last step gets the full remaining budget
-    assert admissible_input_error(budget, ledger, 3.0, 0.0, 3.0) \
-        == pytest.approx(0.05)
-    ledger.input_acc = 0.05
-    assert admissible_input_error(budget, ledger, 0.3, 0.0, 3.0) == 0.0
+    assert share(0.0, 3.0, 0.0, 3.0) == pytest.approx(0.05)
+    assert share(0.05, 0.3, 0.0, 3.0) == 0.0
+    assert share(0.01, 1.0, 1.0, 3.0) == pytest.approx(0.02)
+    assert share(0.05, 1.0, 1.0, 3.0) == 0.0
+    assert share(0.0, 1e-12, 0.0, 3.0) == pytest.approx(0.05 * 1e-12 / 3.0)
     with pytest.raises(ValueError):
-        admissible_input_error(budget, ledger, 0.1, 3.0, 3.0)
-
-
-def test_admissible_reduction_error_values():
-    budget = ErrorBudget(0.0, 0.0, 0.05)
-    ledger = ErrorLedger()
-    ledger.reduction_acc = 0.01
-    assert admissible_reduction_error(budget, ledger, 1.0, 1.0, 3.0) \
-        == pytest.approx(0.02)
-    ledger.reduction_acc = 0.05
-    assert admissible_reduction_error(budget, ledger, 1.0, 1.0, 3.0) == 0.0
-    ledger.reduction_acc = 0.0
-    assert admissible_reduction_error(budget, ledger, 1e-12, 0.0, 3.0) \
-        == pytest.approx(0.05 * 1e-12 / 3.0)
+        share(0.05, 0.1, 3.0, 3.0)
+    with pytest.raises(ValueError):
+        share(0.0, 0.0, 0.0, 3.0)
 
 
 def test_run_static_system_single_step():
@@ -203,7 +201,8 @@ def test_reduce_accumulated_respects_admissible_brute_force():
         budget = ErrorBudget(0.0, 0.0, 10.0)
         ledger = ErrorLedger()
         dt, t, horizon = 1.0, 0.0, 3.0
-        adm = admissible_reduction_error(budget, ledger, dt, t, horizon)
+        adm = admissible_share(budget.reduction_max - ledger.reduction_acc,
+                               dt, t, horizon)
         out, err = reduce_accumulated(p, budget, ledger, dt, t, horizon)
         assert err < adm
         assert out.num_generators <= p.num_generators
@@ -222,7 +221,8 @@ def reduce_by_rounds(p_accum, budget, ledger, dt, t, horizon):
     n = p_accum.dim
     if p_accum.num_generators <= n or budget.reduction_max <= 0:
         return p_accum, 0.0, 0
-    admissible = admissible_reduction_error(budget, ledger, dt, t, horizon)
+    admissible = admissible_share(budget.reduction_max - ledger.reduction_acc,
+                                  dt, t, horizon)
     current = p_accum
     total = 0.0
     rounds = 0
