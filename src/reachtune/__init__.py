@@ -16,7 +16,7 @@ from .sampling import TrajectoryBatch, check_containment, sample_trajectories
 from .taylor import NotConvergentError, max_taylor_order
 from .tuner import (ErrorBudget, ErrorLedger, ReachResult, StepRecord,
                     TuningFailedError, run)
-from .zonotope import (Zonotope, contains_point, enclosure_radius, hull_step,
+from .zonotope import (Zonotope, contains_point, enclosure_radius,
                        interval_hull, interval_map, linear_map, minkowski_sum,
                        reduce_order, support)
 
@@ -28,7 +28,7 @@ __all__ = [
     "ReachResult", "ReachSegment", "RunReport", "SafetySpec", "SpecVerdict",
     "StepRecord", "StepSets", "TrajectoryBatch", "TuningFailedError",
     "Zonotope", "active_backend", "check_containment", "check_specs",
-    "contains_point", "enclosure_radius", "hull_step", "interval_hull",
+    "contains_point", "enclosure_radius", "interval_hull",
     "interval_map", "linear_map", "load_model", "max_taylor_order",
     "minkowski_sum", "random_system", "read_result", "reduce_order", "run",
     "run_adaptive", "run_fixed_baseline", "sample_trajectories", "save_model",

@@ -22,11 +22,10 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .reach import (ExponentialAccumulator, LinearSystem, ReachSegment,
-                    build_step_sets, minkowski_sum, propagate_step,
+from .reach import (LinearSystem, ReachSegment, StepSets, build_step_sets,
                     propagated_error)
 from .taylor import MatrixPowers, TaylorSeries
-from .tuner import ErrorLedger, ReachResult, StepRecord, run
+from .tuner import DEFAULT_WEIGHTS, ReachResult, TunedStep, _step_through, run
 from .zonotope import Zonotope, interval_hull, reduce_order, support
 
 
@@ -333,15 +332,9 @@ def check_specs(segments, specs) -> list[SpecVerdict]:
     return verdicts
 
 
-def run_adaptive(system: LinearSystem, eps_max: float,
-                 weights: tuple[float, float, float] | None = None,
-                 out_path=None, report_path=None) -> tuple[ReachResult, RunReport]:
-    """Adaptive analysis plus optional result/report files."""
-    if weights is None:
-        result = run(system, eps_max)
-    else:
-        result = run(system, eps_max, weights)
-    report = report_from_result(result, system.dim)
+def _report_and_write(result: ReachResult, dimension: int, out_path,
+                      report_path) -> tuple[ReachResult, RunReport]:
+    report = report_from_result(result, dimension)
     if out_path is not None:
         write_result(out_path, result)
     if report_path is not None:
@@ -349,13 +342,24 @@ def run_adaptive(system: LinearSystem, eps_max: float,
     return result, report
 
 
+def run_adaptive(system: LinearSystem, eps_max: float,
+                 weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
+                 out_path=None, report_path=None) -> tuple[ReachResult, RunReport]:
+    """Adaptive analysis plus optional result/report files."""
+    return _report_and_write(run(system, eps_max, weights), system.dim,
+                             out_path, report_path)
+
+
 def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
                        out_path=None, report_path=None) -> tuple[ReachResult, RunReport]:
     """Same pipeline with tuning disabled: fixed step, order and set order.
 
-    Errors are still tracked in the ledger but no budget is enforced, so
-    the reported totals are informational only. The final step is clamped
-    when ``dt`` does not divide the horizon.
+    ``run`` and this baseline share one stepping loop; only the choice of
+    each step and the reduction differ. Errors are still tracked in the
+    ledger but no budget is enforced, so the reported totals are
+    informational only. The final step is clamped to the horizon when
+    ``dt`` does not divide it, and a leftover below 1e-9 is absorbed into
+    the last step.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"baseline dt must be positive, got {dt}")
@@ -365,14 +369,9 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
         raise ValueError(f"baseline rho must be >= 1, got {rho}")
     horizon = system.horizon
     powers = MatrixPowers(system.a)
-    acc = ExponentialAccumulator.identity(system.dim)
-    ledger = ErrorLedger()
-    p_accum = Zonotope.point(np.zeros(system.dim))
-    segments = []
-    sets_cache: dict[float, object] = {}
-    t = 0.0
-    start = time.perf_counter()
-    while t < horizon:
+    sets_cache: dict[float, StepSets] = {}
+
+    def choose(t, acc, ledger, dt_prev):
         width = dt
         if t + dt >= horizon * (1.0 - 1e-12) or horizon - (t + dt) < 1e-9:
             width = horizon - t
@@ -384,25 +383,18 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
                     f"Taylor terms overflow at dt={width:.3g}, eta={eta}")
             sets = build_step_sets(system, series, eta)
             sets_cache[width] = sets
-        hom_err = propagated_error(acc, sets.hom_error)
-        input_err = propagated_error(acc, sets.inh_error)
-        window, p_next = propagate_step(acc, sets, p_accum)
-        p_next, reduction_err = reduce_order(p_next, rho)
-        t_hi = horizon if width == horizon - t else t + width
-        segments.append(ReachSegment(t, t_hi, minkowski_sum(window, p_accum)))
-        ledger.add(StepRecord(
-            t_lo=t, t_hi=t_hi, dt=width, taylor_order=eta,
-            zonotope_order=p_next.order, hom_error=hom_err,
-            input_error=input_err, reduction_error=reduction_err, retries=0))
-        acc = acc.advanced(sets.propagator, sets.remainder, width)
-        p_accum = p_next
-        t = t_hi
-    total = time.perf_counter() - start
+        step = TunedStep(width, eta, sets,
+                         hom_error=propagated_error(acc, sets.hom_error),
+                         input_error=propagated_error(acc, sets.inh_error),
+                         retries=0)
+        return step, horizon if width == horizon - t else t + width
+
+    def reduce(p_next, ledger, width, t):
+        return reduce_order(p_next, rho)
+
+    start = time.perf_counter()
+    segments, ledger = _step_through(system, choose, reduce, dt)
     result = ReachResult(segments=segments, ledger=ledger, budget=None,
-                         tuning_seconds=0.0, total_seconds=total)
-    report = report_from_result(result, system.dim)
-    if out_path is not None:
-        write_result(out_path, result)
-    if report_path is not None:
-        write_report(report_path, report)
-    return result, report
+                         tuning_seconds=0.0,
+                         total_seconds=time.perf_counter() - start)
+    return _report_and_write(result, system.dim, out_path, report_path)

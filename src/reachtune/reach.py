@@ -70,10 +70,17 @@ class StepSets:
     hom_exact: Zonotope
     hom_error: Zonotope
     inh_exact: Zonotope
-    inh_centered: Zonotope
     inh_error: Zonotope
     propagator: np.ndarray
     remainder: IntervalMatrix
+
+    @property
+    def inh_centered(self) -> Zonotope:
+        # drift-free input solution: the step's constant drift already rides
+        # in the homogeneous hull, so the step window only adds the centered
+        # part; inh_exact has no zero column, so none needs dropping
+        return Zonotope._trusted(np.zeros(self.inh_exact.dim),
+                                 self.inh_exact.generators)
 
 
 @dataclass(frozen=True)
@@ -148,13 +155,9 @@ def build_step_sets(sys: LinearSystem, series: TaylorSeries, eta: int) -> StepSe
     """All local pieces for one candidate step at the series' step size."""
     hom_exact, hom_error = homogeneous_step(sys, series, eta)
     inh_exact, inh_error = inhomogeneous_step(sys, series, eta)
-    # drift-free input solution: the step's constant drift already rides in
-    # the homogeneous hull, so the step window only adds the centered part
-    inh_centered = Zonotope(np.zeros(sys.dim), inh_exact.generators)
     return StepSets(dt=series.dt, eta=eta,
                     hom_exact=hom_exact, hom_error=hom_error,
-                    inh_exact=inh_exact, inh_centered=inh_centered,
-                    inh_error=inh_error,
+                    inh_exact=inh_exact, inh_error=inh_error,
                     propagator=series.partial_sum(eta),
                     remainder=series.remainder(eta))
 
@@ -178,19 +181,6 @@ def propagate_step(acc: ExponentialAccumulator, sets: StepSets,
 def propagated_error(acc: ExponentialAccumulator, error_set: Zonotope) -> float:
     """Enclosure radius of an error set after mapping it to the current time."""
     return enclosure_radius(interval_map(acc.enclosure, error_set))
-
-
-def homogeneous_step_error(acc: ExponentialAccumulator, sys: LinearSystem,
-                           series: TaylorSeries, eta: int) -> float:
-    """Per-step homogeneous error value; does not depend on previous steps."""
-    return propagated_error(acc, homogeneous_error(sys, series, eta))
-
-
-def input_step_error(acc: ExponentialAccumulator, sys: LinearSystem,
-                     series: TaylorSeries, eta: int) -> float:
-    """Per-step input-driven error value; accumulates over the run."""
-    _, error = inhomogeneous_step(sys, series, eta)
-    return propagated_error(acc, error)
 
 
 @dataclass(frozen=True)

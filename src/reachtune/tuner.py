@@ -12,7 +12,7 @@ budget.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from .taylor import (MatrixPowers, TaylorSeries, convergence_ratio,
 from .zonotope import Zonotope
 
 DEFAULT_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-DEFAULT_SHRINK = 0.9
+# factor by which the step search shrinks dt after a failed sweep of orders
+_SHRINK = 0.9
 
 # Relative dt floor below which the step search gives up; only reachable
 # when a budget component is zero but its error source is not.
@@ -184,17 +185,15 @@ def _try_orders(workspace: _Workspace, acc: ExponentialAccumulator,
 
 def tune_step(sys: LinearSystem, acc: ExponentialAccumulator,
               budget: ErrorBudget, ledger: ErrorLedger, t: float,
-              dt_prev: float, shrink: float = DEFAULT_SHRINK,
-              workspace: _Workspace | None = None) -> TunedStep:
+              dt_prev: float, workspace: _Workspace) -> TunedStep:
     """Find ``(dt, eta)`` meeting both per-step bounds at time ``t``.
 
-    Starts from the previous step enlarged once by ``1/shrink`` with the
+    Starts from the previous step enlarged once by ``1/0.9`` with the
     order reset to 1; raises the order up to its cut-off, then shrinks dt
-    geometrically, until both the homogeneous error and the admissible
+    by 0.9 per sweep, until both the homogeneous error and the admissible
     input error accept the candidate.
     """
-    workspace = workspace if workspace is not None else _Workspace(sys)
-    dt = dt_prev / shrink
+    dt = dt_prev / _SHRINK
     retries = 0
     while True:
         admissible = admissible_share(budget.input_max - ledger.input_acc,
@@ -202,9 +201,8 @@ def tune_step(sys: LinearSystem, acc: ExponentialAccumulator,
         step, tried = _try_orders(workspace, acc, budget, ledger, dt, admissible)
         retries += tried
         if step is not None:
-            return TunedStep(step.dt, step.eta, step.sets,
-                             step.hom_error, step.input_error, retries)
-        dt *= shrink
+            return replace(step, retries=retries)
+        dt *= _SHRINK
         if dt < sys.horizon * _DT_UNDERFLOW:
             raise TuningFailedError(
                 "time step underflow: an error bound cannot be met; "
@@ -285,53 +283,26 @@ def reduce_accumulated(p_accum: Zonotope, budget: ErrorBudget,
     return Zonotope._trusted(p_accum.center, kept), total
 
 
-def run(sys: LinearSystem, eps_max: float,
-        weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
-        shrink: float = DEFAULT_SHRINK) -> "ReachResult":
-    """Reachability analysis of ``sys`` with all parameters tuned at runtime.
+def _step_through(sys: LinearSystem, choose, reduce,
+                  dt_prev: float) -> tuple[list[ReachSegment], ErrorLedger]:
+    """The stepping loop of both the adaptive and the fixed-parameter run.
 
-    Returns segments tiling ``[0, horizon]`` together with the error ledger;
-    the ledger totals are guaranteed to respect the budget split of
-    ``eps_max``.
+    ``choose(t, acc, ledger, dt_prev)`` returns the step taken at ``t`` and
+    its end time, and ``reduce(p_next, ledger, dt, t)`` the reduced
+    accumulated input set with its reduction error. Each step propagates
+    the chosen step sets, reduces, records the segment and the ledger entry
+    and advances the exponential enclosure. ``dt_prev`` seeds the first
+    choice.
     """
-    budget = ErrorBudget.split(eps_max, weights)
-    if not 0 < shrink < 1:
-        raise ValueError(f"shrink factor must be in (0, 1), got {shrink}")
-    workspace = _Workspace(sys)
     ledger = ErrorLedger()
     acc = ExponentialAccumulator.identity(sys.dim)
     p_accum = Zonotope.point(np.zeros(sys.dim))
     segments: list[ReachSegment] = []
-    horizon = sys.horizon
     t = 0.0
-    dt_prev = horizon * shrink
-    start = time.perf_counter()
-    tuning = 0.0
-    while t < horizon:
-        mark = time.perf_counter()
-        built = workspace.build_seconds
-        step = tune_step(sys, acc, budget, ledger, t, dt_prev, shrink, workspace)
-        final = t + step.dt >= horizon * (1.0 - 1e-12)
-        remaining_after = horizon - t - step.dt
-        if not final and 0.0 < remaining_after <= 0.25 * step.dt:
-            # absorb a sliver of leftover horizon into this step when the
-            # bounds still pass at the enlarged width
-            absorbed = _retune_clamped(sys, acc, budget, ledger, t,
-                                       workspace, step, required=False)
-            if absorbed is not None:
-                step = absorbed
-                final = True
-        elif final and t + step.dt != horizon:
-            step = _retune_clamped(sys, acc, budget, ledger, t, workspace, step)
-        # construction of step pieces counts as propagation, not tuning
-        tuning += (time.perf_counter() - mark
-                   - (workspace.build_seconds - built))
-        t_hi = horizon if final else t + step.dt
+    while t < sys.horizon:
+        step, t_hi = choose(t, acc, ledger, dt_prev)
         window, p_next = propagate_step(acc, step.sets, p_accum)
-        mark = time.perf_counter()
-        p_next, reduction_err = reduce_accumulated(
-            p_next, budget, ledger, step.dt, t, horizon)
-        tuning += time.perf_counter() - mark
+        p_next, reduction_err = reduce(p_next, ledger, step.dt, t)
         segments.append(ReachSegment(t, t_hi, minkowski_sum(window, p_accum)))
         ledger.add(StepRecord(
             t_lo=t, t_hi=t_hi, dt=step.dt, taylor_order=step.eta,
@@ -342,28 +313,66 @@ def run(sys: LinearSystem, eps_max: float,
         p_accum = p_next
         dt_prev = step.dt
         t = t_hi
-    total = time.perf_counter() - start
+    return segments, ledger
+
+
+def run(sys: LinearSystem, eps_max: float,
+        weights: tuple[float, float, float] = DEFAULT_WEIGHTS) -> "ReachResult":
+    """Reachability analysis of ``sys`` with all parameters tuned at runtime.
+
+    Returns segments tiling ``[0, horizon]`` together with the error ledger;
+    the ledger totals are guaranteed to respect the budget split of
+    ``eps_max``. A step that would reach or pass the horizon is re-tuned at
+    the exact remaining width, and a leftover of at most a quarter of the
+    accepted step is absorbed into it when the bounds still pass there.
+    """
+    budget = ErrorBudget.split(eps_max, weights)
+    workspace = _Workspace(sys)
+    horizon = sys.horizon
+    tuning = 0.0
+
+    def choose(t, acc, ledger, dt_prev):
+        nonlocal tuning
+        mark = time.perf_counter()
+        built = workspace.build_seconds
+        step = tune_step(sys, acc, budget, ledger, t, dt_prev, workspace)
+        final = t + step.dt >= horizon * (1.0 - 1e-12)
+        if final:
+            retune = t + step.dt != horizon
+        else:
+            retune = 0.0 < horizon - t - step.dt <= 0.25 * step.dt
+        if retune:
+            # re-tune the order at the exact remaining width: required for a
+            # final step, optional when absorbing a sliver of leftover horizon
+            dt = horizon - t
+            admissible = admissible_share(budget.input_max - ledger.input_acc,
+                                          dt, t, horizon)
+            clamped, tried = _try_orders(workspace, acc, budget, ledger, dt,
+                                         admissible)
+            if clamped is not None:
+                step = replace(clamped, retries=step.retries + tried)
+                final = True
+            elif final:
+                raise TuningFailedError(
+                    f"no Taylor order satisfies the bounds at the clamped "
+                    f"final step dt={dt:.3g}")
+        # construction of step pieces counts as propagation, not tuning
+        tuning += (time.perf_counter() - mark
+                   - (workspace.build_seconds - built))
+        return step, horizon if final else t + step.dt
+
+    def reduce(p_next, ledger, dt, t):
+        nonlocal tuning
+        mark = time.perf_counter()
+        reduced = reduce_accumulated(p_next, budget, ledger, dt, t, horizon)
+        tuning += time.perf_counter() - mark
+        return reduced
+
+    start = time.perf_counter()
+    segments, ledger = _step_through(sys, choose, reduce, horizon * _SHRINK)
     return ReachResult(segments=segments, ledger=ledger, budget=budget,
-                       tuning_seconds=tuning, total_seconds=total)
-
-
-def _retune_clamped(sys: LinearSystem, acc: ExponentialAccumulator,
-                    budget: ErrorBudget, ledger: ErrorLedger, t: float,
-                    workspace: _Workspace, accepted: TunedStep,
-                    required: bool = True) -> TunedStep | None:
-    """Re-tune the final step at the exact remaining width (order only)."""
-    dt = sys.horizon - t
-    admissible = admissible_share(budget.input_max - ledger.input_acc,
-                                  dt, t, sys.horizon)
-    step, tried = _try_orders(workspace, acc, budget, ledger, dt, admissible)
-    if step is None:
-        if required:
-            raise TuningFailedError(
-                f"no Taylor order satisfies the bounds at the clamped final "
-                f"step dt={dt:.3g}")
-        return None
-    return TunedStep(step.dt, step.eta, step.sets, step.hom_error,
-                     step.input_error, accepted.retries + tried)
+                       tuning_seconds=tuning,
+                       total_seconds=time.perf_counter() - start)
 
 
 @dataclass(frozen=True)

@@ -158,14 +158,6 @@ def hull_of(z1: Zonotope, z2: Zonotope) -> Zonotope:
     return Zonotope._trusted(0.5 * (z1.center + z2.center), _nonzero_columns(gens))
 
 
-def hull_step(z: Zonotope, w: np.ndarray) -> Zonotope:
-    """Zonotope enclosure of the convex hull of ``Z`` and ``W @ Z``."""
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    if w.shape != (z.dim, z.dim):
-        raise ValueError(f"expected {z.dim}x{z.dim} matrix, got {w.shape}")
-    return hull_of(z, linear_map(w, z))
-
-
 def interval_hull(z: Zonotope) -> IntervalVector:
     """Tightest axis-aligned box: ``c_i +- sum_j |G[i, j]|``."""
     half = np.abs(z.generators).sum(axis=1)

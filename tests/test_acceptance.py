@@ -12,7 +12,7 @@ import pytest
 
 from reachtune.modelio import random_system, run_fixed_baseline
 from reachtune.reach import (ExponentialAccumulator, LinearSystem,
-                             input_step_error)
+                             build_step_sets, propagated_error)
 from reachtune.sampling import check_containment, sample_trajectories
 from reachtune.taylor import (MatrixPowers, TaylorSeries, taylor_partial_sum,
                               truncation_remainder)
@@ -135,9 +135,13 @@ def test_criterion_4_step_input_error_superlinear():
         eta = int(rng.integers(1, 6))
         if powers.norm_inf * dt / (eta + 2) >= 1:
             continue
-        base = input_step_error(acc, system, TaylorSeries(powers, dt), eta)
+        def input_error(width):
+            sets = build_step_sets(system, TaylorSeries(powers, width), eta)
+            return propagated_error(acc, sets.inh_error)
+
+        base = input_error(dt)
         for phi in (0.1, 0.5, 0.9):
-            if not input_step_error(acc, system, TaylorSeries(powers, phi * dt), eta) <= phi * base:
+            if not input_error(phi * dt) <= phi * base:
                 violations += 1
         checked += 1
     report(4, violations == 0,

@@ -205,6 +205,16 @@ def test_baseline_divides_exactly():
                for r in result.ledger.records)
 
 
+def test_baseline_absorbs_leftover_below_1e9():
+    # seven steps of 3/7 - 1e-11 leave about 7e-11 of the horizon, which
+    # the seventh step takes in instead of an eighth step
+    sys = random_system(2, seed=9)
+    result, _ = run_fixed_baseline(sys, dt=3 / 7 - 1e-11, eta=8, rho=5.0)
+    assert result.steps == 7
+    assert result.segments[-1].t_hi == 3.0
+    assert result.tuning_seconds == 0.0
+
+
 def test_baseline_tracks_errors_without_enforcing():
     sys = random_system(2, seed=10)
     result, report = run_fixed_baseline(sys, dt=0.25, eta=4, rho=2.0)

@@ -6,9 +6,9 @@ from scipy.linalg import expm
 
 from reachtune.intervals import IntervalMatrix
 from reachtune.reach import (ExponentialAccumulator, LinearSystem,
-                             build_step_sets, homogeneous_step,
-                             homogeneous_step_error, inhomogeneous_step,
-                             input_step_error, propagate_step)
+                             build_step_sets, homogeneous_error,
+                             homogeneous_step, inhomogeneous_step,
+                             propagate_step, propagated_error)
 from reachtune.taylor import (MatrixPowers, TaylorSeries, taylor_partial_sum,
                               truncation_remainder)
 from reachtune.zonotope import (Zonotope, contains_point, enclosure_radius,
@@ -223,10 +223,12 @@ def test_propagate_accumulates_pure_integrator():
 def test_step_errors_zero_cases():
     acc = ExponentialAccumulator.identity(2)
     static = LinearSystem(np.zeros((2, 2)), unit_box(2), unit_box(2), 1.0)
-    assert homogeneous_step_error(acc, static, TaylorSeries(static.a, 0.3), 2) == 0.0
+    assert propagated_error(
+        acc, homogeneous_error(static, TaylorSeries(static.a, 0.3), 2)) == 0.0
     no_input = LinearSystem(np.array([[0.0, 1.0], [-1.0, 0.0]]), unit_box(2),
                             Zonotope.point([0.0, 0.0]), 1.0)
-    assert input_step_error(acc, no_input, TaylorSeries(no_input.a, 0.3), 2) == 0.0
+    assert propagated_error(
+        acc, build_step_sets(no_input, TaylorSeries(no_input.a, 0.3), 2).inh_error) == 0.0
 
 
 def test_step_errors_shrink_with_dt():
@@ -236,8 +238,9 @@ def test_step_errors_shrink_with_dt():
     dt = 0.2
     prev_h = prev_p = math.inf
     for _ in range(6):
-        err_h = homogeneous_step_error(acc, sys, TaylorSeries(sys.a, dt), 4)
-        err_p = input_step_error(acc, sys, TaylorSeries(sys.a, dt), 4)
+        series = TaylorSeries(sys.a, dt)
+        err_h = propagated_error(acc, homogeneous_error(sys, series, 4))
+        err_p = propagated_error(acc, build_step_sets(sys, series, 4).inh_error)
         assert err_h < prev_h and err_p < prev_p
         prev_h, prev_p = err_h, err_p
         dt *= 0.5
@@ -261,9 +264,13 @@ def test_input_error_superlinear_in_dt():
         eta = int(rng.integers(1, 6))
         if powers.norm_inf * dt / (eta + 2) >= 1:
             continue
-        base = input_step_error(acc, sys, TaylorSeries(powers, dt), eta)
+        def input_error(width):
+            sets = build_step_sets(sys, TaylorSeries(powers, width), eta)
+            return propagated_error(acc, sets.inh_error)
+
+        base = input_error(dt)
         for phi in (0.1, 0.5, 0.9):
-            assert input_step_error(acc, sys, TaylorSeries(powers, phi * dt), eta) <= phi * base
+            assert input_error(phi * dt) <= phi * base
 
 
 def test_error_sets_contain_origin():

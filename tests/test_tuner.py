@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachtune.modelio import random_system
 from reachtune.reach import LinearSystem
 from reachtune.tuner import (ErrorBudget, ErrorLedger, ReachResult, StepRecord,
                              TuningFailedError, admissible_share,
@@ -159,6 +160,26 @@ def test_run_shrink_sequence_is_geometric():
         assert k > -1e-9
         assert abs(k - round(k)) < 1e-6
         dt_prev = record.dt
+
+
+@pytest.mark.parametrize("seed, steps, branch", [
+    (2, 16, "absorb"), (4, 86, "absorb-fails"), (1, 36, "clamp")])
+def test_run_final_step_branches(seed, steps, branch):
+    # each run ends at the horizon through one branch of the end rule:
+    # absorb a leftover of at most a quarter step, fail to absorb it and
+    # clamp the next step, or clamp a step that would pass the horizon
+    records = run(random_system(2, seed), eps_max=0.05).ledger.records
+    last, before = records[-1], records[-2]
+    assert len(records) == steps
+    assert last.t_hi == 3.0
+    assert last.dt == 3.0 - last.t_lo
+    if branch == "absorb":
+        assert last.dt > before.dt
+    elif branch == "absorb-fails":
+        assert 0.0 < 3.0 - before.t_hi <= 0.25 * before.dt
+    else:
+        assert 3.0 - before.t_hi > 0.25 * before.dt
+        assert last.dt < before.dt
 
 
 def test_run_zero_input_budget_with_inputs_fails():

@@ -5,7 +5,7 @@ import pytest
 
 from reachtune.intervals import IntervalMatrix
 from reachtune.zonotope import (Zonotope, contains_point, enclosure_radius,
-                                hull_step, interval_hull, interval_map,
+                                hull_of, interval_hull, interval_map,
                                 linear_map, minkowski_sum, reduce_order,
                                 support)
 
@@ -71,7 +71,7 @@ def test_set_operations_drop_the_zero_columns_they_create():
     assert mapped.num_generators == 4
     assert np.count_nonzero(mapped.generators[:, -1]) == 1
     # the hull of a set with itself: differences and the center gap vanish
-    assert hull_step(z, np.eye(2)).num_generators == 3
+    assert hull_of(z, linear_map(np.eye(2), z)).num_generators == 3
     # reduce_order's box of axis-aligned generators along one axis
     reduced, err = reduce_order(Zonotope([0.0, 0.0], [[1.0, 2.0, 0.5, 1.0],
                                                       [0.0, 0.0, 0.0, 1.0]]), 1.5)
@@ -176,7 +176,7 @@ def test_interval_map_encloses_sampled_products():
 
 def test_hull_step_identity_returns_same_set():
     z = Zonotope([1.0, -2.0], np.array([[0.5, 0.0], [0.0, 0.25]]))
-    hull = hull_step(z, np.eye(2))
+    hull = hull_of(z, linear_map(np.eye(2), z))
     np.testing.assert_array_equal(hull.center, z.center)
     np.testing.assert_array_equal(hull.generators, z.generators)
 
@@ -184,7 +184,8 @@ def test_hull_step_identity_returns_same_set():
 def test_hull_step_of_point_is_segment():
     p = np.array([1.0, 0.0])
     w = np.array([[0.0, -1.0], [1.0, 0.0]])
-    seg = hull_step(Zonotope.point(p), w)
+    z = Zonotope.point(p)
+    seg = hull_of(z, linear_map(w, z))
     np.testing.assert_allclose(seg.center, 0.5 * (p + w @ p))
     assert seg.num_generators == 1
     np.testing.assert_allclose(seg.generators[:, 0], 0.5 * (p - w @ p))
@@ -192,7 +193,7 @@ def test_hull_step_of_point_is_segment():
 
 def test_hull_step_1d_is_exact_interval_hull():
     z = Zonotope([1.0], np.array([[0.1]]))
-    hull = hull_step(z, np.array([[2.0]]))
+    hull = hull_of(z, linear_map(np.array([[2.0]]), z))
     box = interval_hull(hull)
     # hull of [0.9, 1.1] and [1.8, 2.2]
     assert box.lo[0] == pytest.approx(0.9)
@@ -205,7 +206,7 @@ def test_hull_step_contains_endpoints_randomized():
         n = int(rng.integers(1, 4))
         z = random_zonotope(rng, n, int(rng.integers(1, 4)))
         w = rng.uniform(-1.5, 1.5, size=(n, n))
-        hull = hull_step(z, w)
+        hull = hull_of(z, linear_map(w, z))
         beta = rng.uniform(-1, 1, size=z.num_generators)
         x = z.center + z.generators @ beta
         assert contains_point(hull, x, tol=1e-9)
