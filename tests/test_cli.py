@@ -139,6 +139,27 @@ def test_run_very_stiff_model_succeeds(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_long_horizon_model_succeeds(tmp_path, capsys):
+    # the first candidate step is T = 1e4, whose high-order Taylor
+    # coefficients dt^k / k! leave the float range; those candidates are
+    # rejected like overflowing powers, not reported as internal errors
+    sys_ = LinearSystem(np.diag([-1e-3, -2e-3]),
+                        Zonotope.box([1.0, 1.0], [0.1, 0.1]),
+                        Zonotope.box([0.0, 0.0], [0.01, 0.01]), 1e4)
+    model = tmp_path / "slow.json"
+    save_model(model, sys_)
+    out = tmp_path / "slow.jsonl"
+    report = tmp_path / "slow.report.json"
+    assert main(["run", "--model", str(model), "--eps", "0.05",
+                 "--out", str(out), "--report", str(report)]) == 0
+    rep = read_report(report)
+    assert rep.steps == len(read_result(out))
+    assert rep.max_step_hom_error <= rep.budget["hom_max"]
+    assert rep.input_error_total <= rep.budget["input_max"]
+    assert rep.reduction_error_total <= rep.budget["reduction_max"]
+    capsys.readouterr()
+
+
 def test_usage_error_exits_three(capsys):
     assert main(["run", "--eps", "0.05"]) == 3
     assert main(["frobnicate"]) == 3

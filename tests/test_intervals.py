@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from reachtune.intervals import (IntervalMatrix, IntervalVector,
-                                 scaled_interval_times_matrix)
+from reachtune.intervals import IntervalMatrix, IntervalVector, scaled_bounds
 
 
 def test_interval_vector_validation():
@@ -110,10 +109,10 @@ def test_mul_encloses_sampled_products():
 
 def test_scaled_interval_handles_mixed_signs():
     point = np.array([[1.0, -2.0], [0.0, 3.0]])
-    m = scaled_interval_times_matrix(-0.25, 0.0, point)
+    lo, hi = scaled_bounds(-0.25, 0.0, point)
     # [l, 0] * p is [l*p, 0] for p > 0 and [0, l*p] for p < 0
-    np.testing.assert_allclose(m.lo, [[-0.25, 0.0], [0.0, -0.75]])
-    np.testing.assert_allclose(m.hi, [[0.0, 0.5], [0.0, 0.0]])
+    np.testing.assert_allclose(lo, [[-0.25, 0.0], [0.0, -0.75]])
+    np.testing.assert_allclose(hi, [[0.0, 0.5], [0.0, 0.0]])
 
 
 def test_scale_requires_nonnegative():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -300,3 +301,73 @@ def test_unchecked_order_still_validates_its_pieces():
             coarse.curvature(100)
         with pytest.raises(ValueError):
             coarse.correction(100)
+
+
+LAMBDAS = (0.0, 0.25, 0.5, 0.9, 1.0)
+
+
+def mp_expm(m, t):
+    """50-digit ``exp(M t)`` of a float matrix ``M`` at an mpmath time ``t``."""
+    return mpmath.expm(mpmath.matrix(m.tolist()) * t)
+
+
+def oracle_cases(n):
+    """``(piece, exact, enclosure, slack)`` for the series at 50 digits.
+
+    The exact deviations at ``t = lambda dt`` are the remainder
+    ``exp(A dt) - W``, the curvature ``exp(A t) - ((1 - lambda) I + lambda W)``
+    and the correction ``int_0^t exp(A s) ds - lambda P``, with ``W`` the
+    partial sum and ``P`` the input propagator; the integral is the
+    top-right block of ``exp([[A, I], [0, 0]] t)``. ``slack`` covers the
+    rounding of ``W`` and ``P``, which no enclosure tracks.
+    """
+    rng = np.random.default_rng(80 + n)
+    for _ in range(3):
+        a = rng.uniform(-2, 2, size=(n, n))
+        powers = MatrixPowers(a)
+        block = np.zeros((2 * n, 2 * n))
+        block[:n, :n] = a
+        block[:n, n:] = np.eye(n)
+        for dt in (0.01, 0.1, 0.4):
+            with mpmath.workdps(50):
+                times = {lam: mpmath.mpf(lam) * dt for lam in LAMBDAS}
+                flow = {lam: mp_expm(a, t) for lam, t in times.items()}
+                integral = {lam: mp_expm(block, t)[:n, n:] for lam, t in times.items()}
+                growth = max(mp_expm(np.abs(a), mpmath.mpf(dt)))
+            slack = 16 * 2.0 ** -53 * max(1.0, float(growth))
+            series = TaylorSeries(powers, dt)
+            for eta in sorted({1, 2, 4, max_taylor_order(powers, dt)}):
+                if convergence_ratio(powers, dt, eta) >= 1:
+                    continue
+                assert series.is_finite(eta)
+                with mpmath.workdps(50):
+                    w = mpmath.matrix(series.partial_sum(eta).tolist())
+                    p = mpmath.matrix(series.input_propagator(eta).tolist())
+                    yield "remainder", flow[1.0] - w, series.remainder(eta), slack
+                    for lam in LAMBDAS:
+                        mix = mpmath.mpf(lam)
+                        yield ("curvature", flow[lam] - ((1 - mix) * mpmath.eye(n) + mix * w),
+                               series.curvature(eta), slack)
+                        yield ("correction", integral[lam] - mix * p,
+                               series.correction(eta), slack * dt)
+
+
+def entries_outside(exact, enclosure, slack):
+    """How many entries of ``exact`` lie outside ``enclosure`` widened by ``slack``."""
+    n = enclosure.shape[0]
+    with mpmath.workdps(50):
+        return sum(not (mpmath.mpf(enclosure.lo[i, j]) - slack <= exact[i, j]
+                        <= mpmath.mpf(enclosure.hi[i, j]) + slack)
+                   for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_series_pieces_enclose_the_50_digit_flow(n):
+    # an oracle independent of the series: the remainder, curvature and
+    # correction enclose the true deviations of the flow at every in-step
+    # time, up to the rounding of the point sums
+    checked = 0
+    for piece, exact, enclosure, slack in oracle_cases(n):
+        assert entries_outside(exact, enclosure, slack) == 0, piece
+        checked += 1
+    assert checked > 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from reachtune.modelio import random_system
 from reachtune.reach import LinearSystem
+from reachtune.sampling import check_containment, sample_trajectories
 from reachtune.tuner import (ErrorBudget, ErrorLedger, ReachResult, StepRecord,
                              TuningFailedError, admissible_share,
                              reduce_accumulated, run)
@@ -180,6 +181,32 @@ def test_run_final_step_branches(seed, steps, branch):
     else:
         assert 3.0 - before.t_hi > 0.25 * before.dt
         assert last.dt < before.dt
+
+
+@pytest.mark.parametrize("case", ["unstable", "tight-eps", "zero-input"])
+def test_run_robustness_cases_end_with_a_valid_ledger(case):
+    # random_system(2, 1)'s initial and input sets, T 3: an unstable matrix,
+    # a budget 500x tighter than usual, and no input
+    base = random_system(2, 1)
+    a, input_set, eps = {
+        "unstable": (np.diag([1.0, 0.5]), base.input_set, 0.05),
+        "tight-eps": (base.a, base.input_set, 1e-4),
+        "zero-input": (base.a, Zonotope.point([0.0, 0.0]), 0.05),
+    }[case]
+    sys = LinearSystem(a, base.initial_set, input_set, 3.0)
+    result = run(sys, eps_max=eps)
+    segments = result.segments
+    assert segments[0].t_lo == 0.0 and segments[-1].t_hi == 3.0
+    assert all(s.t_hi == n.t_lo for s, n in zip(segments, segments[1:]))
+    assert all(s.t_hi > s.t_lo for s in segments)
+    budget, ledger = result.budget, result.ledger
+    assert ledger.max_hom_error <= budget.hom_max
+    assert ledger.input_acc <= budget.input_max
+    assert ledger.reduction_acc <= budget.reduction_max
+    batch = sample_trajectories(sys, 5, seed=0, step=0.01)
+    containment = check_containment(segments, batch)
+    assert containment.checked == batch.states.shape[0] * 5
+    assert containment.all_contained
 
 
 def test_run_zero_input_budget_with_inputs_fails():
