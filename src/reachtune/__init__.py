@@ -12,13 +12,13 @@ from .modelio import (ModelError, RunReport, SafetySpec, SpecVerdict,
                       run_adaptive, run_fixed_baseline, save_model,
                       write_result)
 from .reach import ExponentialAccumulator, LinearSystem, ReachSegment, StepSets
-from .sampling import TrajectoryBatch, check_containment, sample_trajectories
+from .sampling import (TrajectoryBatch, batch_contains, check_containment,
+                       sample_trajectories)
 from .taylor import NotConvergentError, max_taylor_order
 from .tuner import (ErrorBudget, ErrorLedger, ReachResult, StepRecord,
                     TuningFailedError, run)
-from .zonotope import (Zonotope, contains_point, enclosure_radius,
-                       interval_hull, interval_map, linear_map, minkowski_sum,
-                       reduce_order, support)
+from .zonotope import (Zonotope, enclosure_radius, interval_hull, interval_map,
+                       linear_map, minkowski_sum, reduce_order, support)
 
 __version__ = "0.1.0"
 
@@ -27,8 +27,8 @@ __all__ = [
     "IntervalVector", "LinearSystem", "ModelError", "NotConvergentError",
     "ReachResult", "ReachSegment", "RunReport", "SafetySpec", "SpecVerdict",
     "StepRecord", "StepSets", "TrajectoryBatch", "TuningFailedError",
-    "Zonotope", "active_backend", "check_containment", "check_specs",
-    "contains_point", "enclosure_radius", "interval_hull",
+    "Zonotope", "active_backend", "batch_contains", "check_containment",
+    "check_specs", "enclosure_radius", "interval_hull",
     "interval_map", "linear_map", "load_model", "max_taylor_order",
     "minkowski_sum", "random_system", "read_result", "reduce_order", "run",
     "run_adaptive", "run_fixed_baseline", "sample_trajectories", "save_model",

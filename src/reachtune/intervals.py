@@ -47,10 +47,6 @@ class IntervalVector:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def radius(self) -> np.ndarray:
-        return 0.5 * (self.hi - self.lo)
-
     def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float).reshape(-1)
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))

@@ -88,15 +88,14 @@ class ExponentialAccumulator:
     """Running interval enclosure of ``exp(A t)`` at the current step start."""
 
     enclosure: IntervalMatrix
-    elapsed: float = 0.0
 
     @classmethod
     def identity(cls, n: int) -> "ExponentialAccumulator":
-        return cls(IntervalMatrix.identity(n), 0.0)
+        return cls(IntervalMatrix.identity(n))
 
-    def advanced(self, propagator: np.ndarray, remainder: IntervalMatrix,
-                 dt: float) -> "ExponentialAccumulator":
-        """Compose one step: ``phi' = phi @ ([W, W] + E)``, time moves by dt.
+    def advanced(self, propagator: np.ndarray,
+                 remainder: IntervalMatrix) -> "ExponentialAccumulator":
+        """Compose one step: ``phi' = phi @ ([W, W] + E)``.
 
         Interval products skip validation, so an enclosure that outgrows the
         float range is caught here, once per step.
@@ -105,7 +104,7 @@ class ExponentialAccumulator:
         enclosure = self.enclosure @ step
         if not (np.isfinite(enclosure.lo).all() and np.isfinite(enclosure.hi).all()):
             raise ValueError("enclosure of exp(A t) overflowed")
-        return ExponentialAccumulator(enclosure, self.elapsed + dt)
+        return ExponentialAccumulator(enclosure)
 
 
 def homogeneous_error(sys: LinearSystem, series: TaylorSeries,

@@ -12,12 +12,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .kernels import rk4_piecewise
 from .reach import LinearSystem, ReachSegment
-from .zonotope import Zonotope, _min_inf_norm
+from .zonotope import Zonotope
 
 INPUT_SWITCHES = 10
+# Douglas-Rachford rounds before the undecided points go to the LP.
+SPLITTING_ROUNDS = 400
+# Uncontained states that a containment report lists.
+MAX_FAILURES = 10
 
 
 @dataclass(frozen=True)
@@ -74,9 +79,10 @@ def sample_trajectories(system: LinearSystem, count: int, seed: int,
     return TrajectoryBatch(times=times, states=states)
 
 
-def batch_contains(z: Zonotope, points: np.ndarray, tol: float,
-                   splitting_rounds: int = 400) -> np.ndarray:
-    """Vectorized membership of many points in one zonotope.
+def batch_contains(z: Zonotope, points: np.ndarray, tol: float) -> np.ndarray:
+    """Membership of each row of ``points`` (a single point counts as one
+    row) in ``z``: is there ``beta`` with ``||beta||_inf <= 1 + tol`` and
+    ``c + G beta = x``?
 
     Rejects points outside the (tol-inflated) box hull. For the accept side,
     axis-aligned generators are folded into per-axis slack (their Minkowski
@@ -86,9 +92,13 @@ def batch_contains(z: Zonotope, points: np.ndarray, tol: float,
     bound constraints and the affine consistency set, batched over all
     undecided points; stragglers are settled by an exact linear program.
     Every accept carries an explicit coefficient witness, so no false
-    accepts arise.
+    accepts arise; a reject comes from the box check or the LP alone.
     """
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != z.dim:
+        raise ValueError(f"points of shape {points.shape} do not have width {z.dim}")
     r = points - z.center[None, :]
     scale = max(1.0, float(np.abs(z.center).max(initial=0.0)),
                 float(np.abs(points).max(initial=0.0)))
@@ -130,7 +140,7 @@ def batch_contains(z: Zonotope, points: np.ndarray, tol: float,
     regularized = np.linalg.inv(g @ g.T + np.eye(n))
     zb = np.clip(beta * scales, -bounds, bounds)
     ze = np.clip(zb @ g.T - work_r, -slack, slack)
-    for _ in range(splitting_rounds):
+    for _ in range(SPLITTING_ROUNDS):
         xb = np.clip(zb, -bounds, bounds)
         xe = np.clip(ze, -slack, slack)
         residual = xb @ g.T - work_r
@@ -153,6 +163,27 @@ def batch_contains(z: Zonotope, points: np.ndarray, tol: float,
     return out
 
 
+def _min_inf_norm(g: np.ndarray, r: np.ndarray, eq_tol: float) -> float:
+    # LP over (beta, s): minimize s subject to G beta = r, |beta_j| <= s.
+    n, gamma = g.shape
+    c = np.zeros(gamma + 1)
+    c[-1] = 1.0
+    a_eq = np.hstack((g, np.zeros((n, 1))))
+    ones = np.ones((gamma, 1))
+    a_ub = np.block([[np.eye(gamma), -ones], [-np.eye(gamma), -ones]])
+    b_ub = np.zeros(2 * gamma)
+    bounds = [(None, None)] * gamma + [(0, None)]
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=r,
+                  bounds=bounds, method="highs")
+    if not res.success:
+        # Equalities infeasible: the point is off the generator span.
+        return np.inf
+    beta = res.x[:gamma]
+    if np.max(np.abs(g @ beta - r)) > max(eq_tol, 1e-9):
+        return np.inf
+    return float(res.fun)
+
+
 @dataclass(frozen=True)
 class ContainmentReport:
     checked: int
@@ -165,7 +196,7 @@ class ContainmentReport:
 
 
 def check_containment(segments: list[ReachSegment], batch: TrajectoryBatch,
-                      tol: float = 1e-6, max_failures: int = 10) -> ContainmentReport:
+                      tol: float = 1e-6) -> ContainmentReport:
     """Verify that every sampled state lies in the segment covering its time."""
     t_lo = np.array([seg.t_lo for seg in segments])
     seg_idx = np.clip(np.searchsorted(t_lo, batch.times, side="right") - 1,
@@ -181,10 +212,10 @@ def check_containment(segments: list[ReachSegment], batch: TrajectoryBatch,
         ok = batch_contains(seg.set, pts, tol)
         checked += ok.size
         contained += int(ok.sum())
-        if not ok.all() and len(failures) < max_failures:
+        if not ok.all() and len(failures) < MAX_FAILURES:
             bad = np.flatnonzero(~ok)
             count = batch.count
-            for b in bad[:max_failures - len(failures)]:
+            for b in bad[:MAX_FAILURES - len(failures)]:
                 failures.append({
                     "segment": i,
                     "time": float(batch.times[rows[b // count]]),

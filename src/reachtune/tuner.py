@@ -309,7 +309,7 @@ def _step_through(sys: LinearSystem, choose, reduce,
             zonotope_order=p_next.order, hom_error=step.hom_error,
             input_error=step.input_error, reduction_error=reduction_err,
             retries=step.retries))
-        acc = acc.advanced(step.sets.propagator, step.sets.remainder, step.dt)
+        acc = acc.advanced(step.sets.propagator, step.sets.remainder)
         p_accum = p_next
         dt_prev = step.dt
         t = t_hi

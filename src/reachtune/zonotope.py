@@ -14,7 +14,6 @@ dropping zero columns only where an operation can create them.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .intervals import IntervalMatrix, IntervalVector
 
@@ -91,6 +90,11 @@ def _nonzero_columns(g: np.ndarray) -> np.ndarray:
     return g
 
 
+def _halfwidths(z: Zonotope) -> np.ndarray:
+    """Halfwidths of the box hull: ``sum_j |G[i, j]|``."""
+    return np.abs(z.generators).sum(axis=1)
+
+
 def minkowski_sum(z1: Zonotope, z2: Zonotope) -> Zonotope:
     """Exact Minkowski sum: centers add, generator columns concatenate."""
     if z1.dim != z2.dim:
@@ -123,7 +127,7 @@ def interval_map(m: IntervalMatrix, z: Zonotope) -> Zonotope:
     rad = m.rad()
     if not rad.any():
         return mapped
-    reach_bound = np.abs(z.center) + np.abs(z.generators).sum(axis=1)
+    reach_bound = np.abs(z.center) + _halfwidths(z)
     halfwidths = rad @ reach_bound
     box = Zonotope._trusted(np.zeros(m.shape[0]),
                             _nonzero_columns(np.diag(halfwidths)))
@@ -142,9 +146,10 @@ def hull_of(z1: Zonotope, z2: Zonotope) -> Zonotope:
     if z1.dim != z2.dim:
         raise ValueError(f"dimension mismatch: {z1.dim} vs {z2.dim}")
     if z1.dim == 1:
-        h1, h2 = interval_hull(z1), interval_hull(z2)
-        lo = min(h1.lo[0], h2.lo[0])
-        hi = max(h1.hi[0], h2.hi[0])
+        c1, c2 = z1.center[0], z2.center[0]
+        h1, h2 = _halfwidths(z1)[0], _halfwidths(z2)[0]
+        lo = min(c1 - h1, c2 - h2)
+        hi = max(c1 + h1, c2 + h2)
         return Zonotope._trusted(np.array([0.5 * (lo + hi)]),
                                  _nonzero_columns(np.array([[0.5 * (hi - lo)]])))
     g1, g2 = z1.generators, z2.generators
@@ -160,18 +165,18 @@ def hull_of(z1: Zonotope, z2: Zonotope) -> Zonotope:
 
 def interval_hull(z: Zonotope) -> IntervalVector:
     """Tightest axis-aligned box: ``c_i +- sum_j |G[i, j]|``."""
-    half = np.abs(z.generators).sum(axis=1)
+    half = _halfwidths(z)
     return IntervalVector(z.center - half, z.center + half)
 
 
 def enclosure_radius(z: Zonotope) -> float:
-    """Radius of the smallest origin-centered hypersphere around the box hull.
+    """Radius of the smallest origin-centered hypersphere around the box hull,
+    whose farthest corner is ``|c| + sum_j |g_j|``.
 
     Over-approximates the Hausdorff distance ``d_H(S, S + Z)`` for any set S
     whenever ``0 in Z``.
     """
-    hull = interval_hull(z)
-    return float(np.linalg.norm(np.maximum(np.abs(hull.lo), np.abs(hull.hi))))
+    return float(np.linalg.norm(np.abs(z.center) + _halfwidths(z)))
 
 
 def support(z: Zonotope, direction: np.ndarray) -> float:
@@ -210,57 +215,3 @@ def reduce_order(z: Zonotope, target_order: float) -> tuple[Zonotope, float]:
         z.center, np.hstack((kept, _nonzero_columns(np.diag(box_half)))))
     widening = removed[:, np.count_nonzero(removed, axis=0) > 1]
     return reduced, float(np.linalg.norm(np.abs(widening).sum(axis=1)))
-
-
-def contains_point(z: Zonotope, x: np.ndarray, tol: float = 0.0) -> bool:
-    """Exact membership test: is there ``beta`` with ``||beta||_inf <= 1+tol``
-    and ``c + G beta = x``?
-
-    Decides via a cheap necessary box check and a sufficient least-squares
-    check, falling back to a linear program for the undecided cases.
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != z.dim:
-        raise ValueError(f"point length {x.shape[0]} != {z.dim}")
-    r = x - z.center
-    scale = max(1.0, float(np.abs(z.center).max(initial=0.0)),
-                float(np.abs(x).max(initial=0.0)))
-    eq_tol = 1e-9 * scale
-    if z.num_generators == 0:
-        return bool(np.all(np.abs(r) <= eq_tol))
-    half = np.abs(z.generators).sum(axis=1)
-    if np.any(np.abs(r) > (1.0 + tol) * half + eq_tol):
-        return False
-    beta, residual = _least_squares_coefficients(z.generators, r)
-    if residual <= eq_tol and np.max(np.abs(beta)) <= 1.0 + tol:
-        return True
-    return _min_inf_norm(z.generators, r, eq_tol) <= 1.0 + tol
-
-
-def _least_squares_coefficients(g: np.ndarray, r: np.ndarray):
-    beta, *_ = np.linalg.lstsq(g, r, rcond=None)
-    residual = float(np.max(np.abs(g @ beta - r)))
-    return beta, residual
-
-
-def _min_inf_norm(g: np.ndarray, r: np.ndarray, eq_tol: float) -> float:
-    # LP over (beta, s): minimize s subject to G beta = r, |beta_j| <= s.
-    n, gamma = g.shape
-    c = np.zeros(gamma + 1)
-    c[-1] = 1.0
-    a_eq = np.hstack((g, np.zeros((n, 1))))
-    ones = np.ones((gamma, 1))
-    a_ub = np.block([[np.eye(gamma), -ones], [-np.eye(gamma), -ones]])
-    b_ub = np.zeros(2 * gamma)
-    bounds = [(None, None)] * gamma + [(0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=r,
-                  bounds=bounds, method="highs")
-    if not res.success:
-        # Equalities infeasible: the point is off the generator span.
-        return np.inf
-    beta = res.x[:gamma]
-    if np.max(np.abs(g @ beta - r)) > max(eq_tol, 1e-9):
-        return np.inf
-    return float(res.fun)

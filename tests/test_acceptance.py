@@ -130,7 +130,7 @@ def test_criterion_4_step_input_error_superlinear():
         for _ in range(int(rng.integers(0, 4))):
             pre_dt = float(rng.uniform(0.02, 0.1))
             acc = acc.advanced(taylor_partial_sum(powers, pre_dt, 8),
-                               truncation_remainder(powers, pre_dt, 8), pre_dt)
+                               truncation_remainder(powers, pre_dt, 8))
         dt = float(rng.uniform(0.05, 0.3))
         eta = int(rng.integers(1, 6))
         if powers.norm_inf * dt / (eta + 2) >= 1:

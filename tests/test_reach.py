@@ -11,8 +11,8 @@ from reachtune.reach import (ExponentialAccumulator, LinearSystem,
                              propagate_step, propagated_error)
 from reachtune.taylor import (MatrixPowers, TaylorSeries, taylor_partial_sum,
                               truncation_remainder)
-from reachtune.zonotope import (Zonotope, contains_point, enclosure_radius,
-                                interval_hull)
+from reachtune.sampling import batch_contains
+from reachtune.zonotope import Zonotope, enclosure_radius, interval_hull
 
 
 def unit_box(n, center=0.0):
@@ -59,7 +59,7 @@ def test_homogeneous_step_scalar_decay():
     # in 1-D the hull of [0.9, 1.1] and W [0.9, 1.1] is exact
     assert hull.lo[0] == pytest.approx(0.9 * w, abs=1e-12)
     assert hull.hi[0] == pytest.approx(1.1, abs=1e-12)
-    assert contains_point(error, [0.0], tol=0.0)
+    assert batch_contains(error, [0.0], 0.0)[0]
 
 
 def test_homogeneous_error_shrinks_with_dt():
@@ -98,7 +98,7 @@ def test_inhomogeneous_step_scalar_radii():
     assert interval_hull(exact).hi[0] == pytest.approx(expected, rel=1e-12)
     rem = truncation_remainder(sys.a, 0.1, 2)
     assert interval_hull(error).hi[0] == pytest.approx(rem.hi[0, 0] * 0.1, rel=1e-12)
-    assert contains_point(error, [0.0])
+    assert batch_contains(error, [0.0], 0.0)[0]
 
 
 def test_advance_from_identity():
@@ -106,10 +106,9 @@ def test_advance_from_identity():
     powers = MatrixPowers(a)
     w = taylor_partial_sum(powers, 0.1, 5)
     e = truncation_remainder(powers, 0.1, 5)
-    acc = ExponentialAccumulator.identity(2).advanced(w, e, 0.1)
+    acc = ExponentialAccumulator.identity(2).advanced(w, e)
     np.testing.assert_allclose(acc.enclosure.lo, w + e.lo, atol=1e-15)
     np.testing.assert_allclose(acc.enclosure.hi, w + e.hi, atol=1e-15)
-    assert acc.elapsed == 0.1
 
 
 def test_advance_static_stays_identity():
@@ -119,7 +118,7 @@ def test_advance_static_stays_identity():
     e = truncation_remainder(powers, 0.5, 2)
     acc = ExponentialAccumulator.identity(2)
     for _ in range(3):
-        acc = acc.advanced(w, e, 0.5)
+        acc = acc.advanced(w, e)
     np.testing.assert_array_equal(acc.enclosure.lo, np.eye(2))
     np.testing.assert_array_equal(acc.enclosure.hi, np.eye(2))
 
@@ -130,7 +129,7 @@ def test_advance_scalar_two_steps():
     w = taylor_partial_sum(powers, 0.1, 12)
     e = truncation_remainder(powers, 0.1, 12)
     acc = ExponentialAccumulator.identity(1)
-    acc = acc.advanced(w, e, 0.1).advanced(w, e, 0.1)
+    acc = acc.advanced(w, e).advanced(w, e)
     assert acc.enclosure.lo[0, 0] == pytest.approx(math.exp(0.2), abs=1e-8)
     assert acc.enclosure.hi[0, 0] == pytest.approx(math.exp(0.2), abs=1e-8)
     assert acc.enclosure.contains(np.array([[math.exp(0.2)]]), tol=1e-12)
@@ -148,7 +147,7 @@ def test_accumulator_encloses_true_exponential():
         e = truncation_remainder(powers, dt, eta)
         acc = ExponentialAccumulator.identity(n)
         for k in range(8):
-            acc = acc.advanced(w, e, dt)
+            acc = acc.advanced(w, e)
             truth = expm(a * dt * (k + 1))
             assert acc.enclosure.contains(truth, tol=1e-9)
 
@@ -158,7 +157,7 @@ def test_advance_rejects_overflowing_enclosure():
     acc = ExponentialAccumulator(IntervalMatrix.from_point([[1e300]]))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError):
-            acc.advanced(np.array([[1e10]]), IntervalMatrix.symmetric([[0.0]]), 0.1)
+            acc.advanced(np.array([[1e10]]), IntervalMatrix.symmetric([[0.0]]))
 
 def test_propagate_step_first_step_is_local():
     sys = scalar_system()
@@ -189,7 +188,7 @@ def test_constant_drift_covered_within_step():
     for tau in np.linspace(0.0, dt, 16):
         sol = solve_ivp(lambda t, x: a @ x + c_u, (0.0, max(tau, 1e-12)),
                         [10.0, 10.0], rtol=1e-12, atol=1e-12)
-        assert contains_point(window, sol.y[:, -1], tol=1e-6), tau
+        assert batch_contains(window, sol.y[:, -1], 1e-6)[0], tau
 
 
 def test_drift_endpoint_in_hull_inherits_correction_scale():
@@ -214,7 +213,7 @@ def test_propagate_accumulates_pure_integrator():
     p = Zonotope.point([0.0, 0.0])
     for _ in range(2):
         _, p = propagate_step(acc, sets, p)
-        acc = acc.advanced(sets.propagator, sets.remainder, 0.5)
+        acc = acc.advanced(sets.propagator, sets.remainder)
     hull = interval_hull(p)
     np.testing.assert_allclose(hull.lo, [-1.0, -1.0], atol=1e-15)
     np.testing.assert_allclose(hull.hi, [1.0, 1.0], atol=1e-15)
@@ -259,7 +258,7 @@ def test_input_error_superlinear_in_dt():
         steps = int(rng.integers(0, 4))
         for _ in range(steps):
             acc = acc.advanced(taylor_partial_sum(powers, 0.05, 8),
-                               truncation_remainder(powers, 0.05, 8), 0.05)
+                               truncation_remainder(powers, 0.05, 8))
         dt = float(rng.uniform(0.05, 0.3))
         eta = int(rng.integers(1, 6))
         if powers.norm_inf * dt / (eta + 2) >= 1:
@@ -280,7 +279,7 @@ def test_error_sets_contain_origin():
         a = rng.uniform(-2, 2, size=(n, n))
         sys = LinearSystem(a, unit_box(n, 10.0), unit_box(n, 1.0), 1.0)
         sets = build_step_sets(sys, TaylorSeries(sys.a, 0.05), 4)
-        assert contains_point(sets.hom_error, np.zeros(n), tol=1e-12)
-        assert contains_point(sets.inh_error, np.zeros(n), tol=1e-12)
+        assert batch_contains(sets.hom_error, np.zeros(n), 1e-12)[0]
+        assert batch_contains(sets.inh_error, np.zeros(n), 1e-12)[0]
         assert interval_hull(sets.hom_error).contains(np.zeros(n))
         assert interval_hull(sets.inh_error).contains(np.zeros(n))

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from reachtune.modelio import random_system
-from reachtune.reach import LinearSystem
-from reachtune.sampling import (batch_contains, check_containment,
-                                sample_trajectories)
+from reachtune.reach import LinearSystem, ReachSegment
+from reachtune.sampling import (TrajectoryBatch, _min_inf_norm, batch_contains,
+                                check_containment, sample_trajectories)
 from reachtune.tuner import run
-from reachtune.zonotope import Zonotope, contains_point
+from reachtune.zonotope import Zonotope
 
 
 def static_system():
@@ -26,8 +26,7 @@ def test_static_trajectories_are_constant():
 def test_initial_states_lie_in_initial_set():
     sys = random_system(3, seed=2)
     batch = sample_trajectories(sys, count=50, seed=3, step=0.05)
-    for x0 in batch.states[0]:
-        assert contains_point(sys.initial_set, x0, tol=1e-9)
+    assert batch_contains(sys.initial_set, batch.states[0], 1e-9).all()
 
 
 def test_scalar_decay_matches_analytic_solution():
@@ -56,15 +55,53 @@ def test_input_switch_times_align_with_grid():
     assert batch.times[1] <= 0.021 + 1e-12
 
 
-def test_batch_contains_agrees_with_single_point_test():
+def test_batch_contains_agrees_with_exact_lp():
+    # membership is a linear program: the smallest ||beta||_inf with
+    # c + G beta = x is at most 1 + tol exactly for the points inside
     rng = np.random.default_rng(8)
+    inside = 0
     for _ in range(10):
         n = int(rng.integers(2, 4))
         z = Zonotope(rng.uniform(-1, 1, n), rng.uniform(-1, 1, (n, n + 2)))
         pts = rng.uniform(-3, 3, size=(40, n))
         got = batch_contains(z, pts, tol=1e-6)
         for x, flag in zip(pts, got):
-            assert flag == contains_point(z, x, tol=1e-6)
+            scale = max(1.0, np.abs(z.center).max(), np.abs(x).max())
+            beta_norm = _min_inf_norm(z.generators, x - z.center, 1e-9 * scale)
+            assert flag == (beta_norm <= 1.0 + 1e-6)
+        inside += int(got.sum())
+    assert 0 < inside < 400
+
+
+def test_batch_contains_examples():
+    box = Zonotope([0.0, 0.0], np.eye(2))
+    assert batch_contains(box, [0.0, 0.0], 0.0)[0]
+    assert batch_contains(box, [1.0, 1.0], 0.0)[0]          # vertex
+    assert not batch_contains(box, [1.5, 0.0], 0.4)[0]
+    assert batch_contains(box, [1.5, 0.0], 0.5)[0]
+    p = Zonotope.point([2.0, 2.0])
+    assert batch_contains(p, [2.0, 2.0], 0.0)[0]
+    assert not batch_contains(p, [2.1, 2.0], 0.0)[0]
+
+
+def test_batch_contains_skewed_generators():
+    # the plain least-squares witness misses this member
+    g = np.array([[1.0, 1.0], [0.0, 1e-3]])
+    z = Zonotope([0.0, 0.0], g)
+    x = g @ np.array([1.0, -1.0])
+    assert batch_contains(z, x, 1e-9)[0]
+    assert not batch_contains(z, [2.5, 0.0], 0.0)[0]
+
+
+def test_batch_contains_rejects_bad_input():
+    z = Zonotope([0.0, 0.0], np.eye(2))
+    assert batch_contains(z, [0.5, 0.5], 0.0).shape == (1,)
+    with pytest.raises(ValueError):
+        batch_contains(z, [[0.5]], 1e-6)
+    with pytest.raises(ValueError):
+        batch_contains(z, np.zeros((4, 3)), 1e-6)
+    with pytest.raises(ValueError):
+        batch_contains(z, [0.5, 0.5], -1e-6)
 
 
 def test_batch_contains_point_zonotope():
@@ -82,6 +119,14 @@ def test_containment_of_sampled_trajectories_in_reach_result():
     report = check_containment(result.segments, batch, tol=1e-6)
     assert report.all_contained, report.failures
     assert report.checked == batch.times.size * 20
+
+
+def test_check_containment_rejects_wrong_dimension():
+    segment = ReachSegment(0.0, 1.0, Zonotope([0.0, 0.0], np.eye(2)))
+    batch = TrajectoryBatch(times=np.linspace(0.0, 1.0, 3),
+                            states=np.full((3, 2, 1), 0.5))
+    with pytest.raises(ValueError):
+        check_containment([segment], batch)
 
 
 def test_sample_validation():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from reachtune.intervals import IntervalMatrix
-from reachtune.zonotope import (Zonotope, contains_point, enclosure_radius,
-                                hull_of, interval_hull, interval_map,
-                                linear_map, minkowski_sum, reduce_order,
-                                support)
+from reachtune.sampling import batch_contains
+from reachtune.zonotope import (Zonotope, enclosure_radius, hull_of,
+                                interval_hull, interval_map, linear_map,
+                                minkowski_sum, reduce_order, support)
 
 
 def random_zonotope(rng, n, gens, scale=1.0, contains_origin=False):
@@ -171,7 +171,7 @@ def test_interval_map_encloses_sampled_products():
             x = np.where(w, m.hi, m.lo)
             beta = rng.uniform(-1, 1, size=z.num_generators)
             point = x @ (z.center + z.generators @ beta)
-            assert contains_point(mapped, point, tol=1e-9)
+            assert batch_contains(mapped, point, 1e-9)[0]
 
 
 def test_hull_step_identity_returns_same_set():
@@ -209,8 +209,7 @@ def test_hull_step_contains_endpoints_randomized():
         hull = hull_of(z, linear_map(w, z))
         beta = rng.uniform(-1, 1, size=z.num_generators)
         x = z.center + z.generators @ beta
-        assert contains_point(hull, x, tol=1e-9)
-        assert contains_point(hull, w @ x, tol=1e-9)
+        assert batch_contains(hull, [x, w @ x], 1e-9).all()
 
 
 def test_interval_hull_examples():
@@ -255,26 +254,6 @@ def test_support_examples():
     assert support(box, [1.0, 1.0]) == pytest.approx(2.0)
 
 
-def test_contains_point_examples():
-    box = Zonotope([0.0, 0.0], np.eye(2))
-    assert contains_point(box, [0.0, 0.0])
-    assert contains_point(box, [1.0, 1.0])          # vertex
-    assert not contains_point(box, [1.5, 0.0], tol=0.4)
-    assert contains_point(box, [1.5, 0.0], tol=0.5)
-    p = Zonotope.point([2.0, 2.0])
-    assert contains_point(p, [2.0, 2.0])
-    assert not contains_point(p, [2.1, 2.0])
-
-
-def test_contains_point_needs_lp_for_skewed_generators():
-    # least squares alone misjudges this one; the LP must decide
-    g = np.array([[1.0, 1.0], [0.0, 1e-3]])
-    z = Zonotope([0.0, 0.0], g)
-    x = g @ np.array([1.0, -1.0])
-    assert contains_point(z, x, tol=1e-9)
-    assert not contains_point(z, [2.5, 0.0])
-
-
 def test_reduce_noop_at_target_order():
     z = Zonotope([0.0, 0.0], np.eye(2))
     reduced, err = reduce_order(z, 1.0)
@@ -304,8 +283,7 @@ def test_reduce_returns_superset():
         reduced, _ = reduce_order(z, 1.0)
         betas = rng.uniform(-1, 1, size=(100, z.num_generators))
         pts = z.center[None, :] + betas @ z.generators.T
-        for x in pts:
-            assert contains_point(reduced, x, tol=1e-9)
+        assert batch_contains(reduced, pts, 1e-9).all()
 
 
 def test_reduce_certified_error_brute_force():
