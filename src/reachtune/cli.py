@@ -3,7 +3,9 @@
 Subcommands: ``run`` (adaptive analysis), ``baseline`` (fixed parameters),
 ``gen`` (random benchmark model), ``check`` (specs against a result file),
 ``sample`` (trajectory oracle). Exit codes: 0 completed and all specs hold,
-2 a spec is violated, 3 input error, 4 internal failure.
+2 a spec is violated, 3 input error, 4 the analysis failed at run time or
+an internal error. Input is checked where it enters, so only its own
+errors (``ModelError``, usage errors, a missing file) exit 3.
 
 ``reach run`` accepts ``--model`` several times; the models run one after
 another, and the output paths must then contain ``{}`` as a placeholder for
@@ -21,8 +23,7 @@ from .modelio import (ModelError, check_specs, load_model, random_system,
                       read_result, run_adaptive, run_fixed_baseline,
                       save_model)
 from .sampling import sample_trajectories
-from .taylor import NotConvergentError
-from .tuner import DEFAULT_WEIGHTS
+from .tuner import DEFAULT_WEIGHTS, ErrorBudget
 
 EXIT_OK = 0
 EXIT_SPEC_VIOLATED = 2
@@ -79,6 +80,10 @@ def _print_verdicts(verdicts) -> bool:
 
 def _cmd_run(args) -> int:
     weights = _parse_weights(args.weights) if args.weights else DEFAULT_WEIGHTS
+    try:
+        ErrorBudget.split(args.eps, weights)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     multi = len(args.model) > 1
 
     def analyze(path: str):
@@ -124,7 +129,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     segments = read_result(args.result)
-    _, specs = load_model(args.model)
+    system, specs = load_model(args.model)
+    if segments[0].set.dim != system.dim:
+        raise _UsageError(f"{args.result} has dimension {segments[0].set.dim}, "
+                          f"{args.model} has {system.dim}")
     if not specs:
         print(f"{args.model}: no specs to check")
         return EXIT_OK
@@ -134,6 +142,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 1:
+        raise _UsageError(f"--count must be >= 1, got {args.count}")
+    if args.step is not None and not 0 < args.step < float("inf"):
+        raise _UsageError(f"--step must be positive and finite, got {args.step}")
     system, _ = load_model(args.model)
     if args.step is not None:
         step = args.step
@@ -209,10 +221,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ModelError, NotConvergentError, FileNotFoundError, ValueError) as exc:
+    except (_UsageError, ModelError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # noqa: BLE001 - exit code contract

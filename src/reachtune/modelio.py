@@ -24,13 +24,13 @@ import numpy as np
 
 from .reach import (LinearSystem, ReachSegment, StepSets, build_step_sets,
                     propagated_error)
-from .taylor import MatrixPowers, TaylorSeries
+from .taylor import MatrixPowers, TaylorSeries, convergence_ratio
 from .tuner import DEFAULT_WEIGHTS, ReachResult, TunedStep, _step_through, run
 from .zonotope import Zonotope, interval_hull, reduce_order, support
 
 
 class ModelError(ValueError):
-    """A model or result file failed to parse or validate."""
+    """A model, a result file or a run parameter failed to parse or validate."""
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,32 @@ def _require(condition: bool, message: str) -> None:
         raise ModelError(message)
 
 
+def _numeric(value, label: str) -> np.ndarray:
+    """``value`` as a float array; a ModelError naming the field if it is
+    not numeric."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"field {label} must be numeric: {exc}") from exc
+
+
+def _scalar(value, label: str) -> float:
+    number = _numeric(value, label)
+    _require(number.ndim == 0, f"field {label} must be a number")
+    return float(number)
+
+
 def _zonotope_from_json(obj, label: str, dim: int | None = None) -> Zonotope:
     _require(isinstance(obj, dict), f"field {label} must be an object")
     _require("center" in obj, f"missing field {label}.center")
-    center = np.asarray(obj["center"], dtype=float).reshape(-1)
+    center = _numeric(obj["center"], f"{label}.center").reshape(-1)
     _require(np.all(np.isfinite(center)), f"field {label}.center must be finite")
     n = center.shape[0]
     if dim is not None:
         _require(n == dim, f"field {label}.center has length {n}, expected {dim}")
     columns = obj.get("generators", [])
     if columns:
-        gens = np.asarray(columns, dtype=float)
+        gens = _numeric(columns, f"{label}.generators")
         _require(gens.ndim == 2 and gens.shape[1] == n,
                  f"field {label}.generators must be a list of length-{n} columns")
         _require(bool(np.all(np.isfinite(gens))),
@@ -107,7 +122,7 @@ def load_model(path) -> tuple[LinearSystem, list[SafetySpec]]:
     raw = _read_json_object(path)
     for name in ("A", "X0", "U", "T"):
         _require(name in raw, f"missing field {name}")
-    a = np.asarray(raw["A"], dtype=float)
+    a = _numeric(raw["A"], "A")
     _require(a.ndim == 2 and a.shape[0] == a.shape[1],
              f"field A must be a square matrix, got shape {a.shape}")
     _require(bool(np.all(np.isfinite(a))), "field A must be finite")
@@ -123,7 +138,9 @@ def load_model(path) -> tuple[LinearSystem, list[SafetySpec]]:
         for name in ("direction", "bound"):
             _require(name in entry, f"missing field specs[{i}].{name}")
         spec = SafetySpec(name=str(entry.get("name", f"spec{i}")),
-                          direction=entry["direction"], bound=float(entry["bound"]))
+                          direction=_numeric(entry["direction"],
+                                             f"specs[{i}].direction"),
+                          bound=_scalar(entry["bound"], f"specs[{i}].bound"))
         _require(spec.direction.shape[0] == n,
                  f"specs[{i}].direction has length {spec.direction.shape[0]}, "
                  f"expected {n}")
@@ -162,8 +179,7 @@ def random_system(dim: int, seed: int) -> LinearSystem:
     at (10, ..., 10) with edge 0.5, U the one at (1, ..., 1) with edge 0.1,
     and the horizon is 3.
     """
-    if dim < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
+    _require(dim >= 2, f"dimension must be >= 2, got {dim}")
     rng = np.random.default_rng(seed)
     blocks = np.zeros((dim, dim))
     for p in range(dim // 2):
@@ -219,7 +235,9 @@ def read_result(path) -> list[ReachSegment]:
             z = _zonotope_from_json(
                 {"center": obj["center"], "generators": obj.get("generators", [])},
                 f"{path}:{lineno}")
-            segments.append(ReachSegment(float(obj["t_lo"]), float(obj["t_hi"]), z))
+            t_lo = _scalar(obj["t_lo"], f"{path}:{lineno}.t_lo")
+            t_hi = _scalar(obj["t_hi"], f"{path}:{lineno}.t_hi")
+            segments.append(ReachSegment(t_lo, t_hi, z))
     _require(bool(segments), f"{path}: result file is empty")
     return segments
 
@@ -361,12 +379,9 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
     ``dt`` does not divide it, and a leftover below 1e-9 is absorbed into
     the last step.
     """
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"baseline dt must be positive, got {dt}")
-    if eta < 1:
-        raise ValueError(f"baseline eta must be >= 1, got {eta}")
-    if rho < 1:
-        raise ValueError(f"baseline rho must be >= 1, got {rho}")
+    _require(dt > 0 and math.isfinite(dt), f"baseline dt must be positive, got {dt}")
+    _require(eta >= 1, f"baseline eta must be >= 1, got {eta}")
+    _require(rho >= 1, f"baseline rho must be >= 1, got {rho}")
     horizon = system.horizon
     powers = MatrixPowers(system.a)
     sets_cache: dict[float, StepSets] = {}
@@ -377,10 +392,12 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
             width = horizon - t
         sets = sets_cache.get(width)
         if sets is None:
+            _require(convergence_ratio(powers, width, eta) < 1.0,
+                     f"Taylor remainder does not converge at dt={width:.3g}, "
+                     f"eta={eta}: raise eta or lower dt")
             series = TaylorSeries(powers, width)
-            if not series.is_finite(eta):
-                raise ValueError(
-                    f"Taylor terms overflow at dt={width:.3g}, eta={eta}")
+            _require(series.is_finite(eta),
+                     f"Taylor terms overflow at dt={width:.3g}, eta={eta}")
             sets = build_step_sets(system, series, eta)
             sets_cache[width] = sets
         step = TunedStep(width, eta, sets,

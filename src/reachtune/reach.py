@@ -106,6 +106,14 @@ class ExponentialAccumulator:
             raise ValueError("enclosure of exp(A t) overflowed")
         return ExponentialAccumulator(enclosure)
 
+    def min_gain(self) -> float:
+        """Lower bound on ``||mid(enclosure) x|| / ||x||``: the smallest
+        singular value, less its floating-point error (a small multiple of
+        ``n * eps`` times the largest, by Weyl's inequality)."""
+        s = np.linalg.svd(self.enclosure.mid(), compute_uv=False)
+        slack = 2 * s.size * np.finfo(float).eps * s[0]
+        return max(float(s[-1] - slack), 0.0)
+
 
 def homogeneous_error(sys: LinearSystem, series: TaylorSeries,
                       eta: int) -> Zonotope:
@@ -115,6 +123,32 @@ def homogeneous_error(sys: LinearSystem, series: TaylorSeries,
     return minkowski_sum(
         interval_map(series.curvature(eta), sys.initial_set),
         interval_map(series.correction(eta), Zonotope.point(sys.input_set.center)))
+
+
+def homogeneous_error_floor(sys: LinearSystem) -> float:
+    """``max(v)``, where ``dt**2 * v`` is a floor on the homogeneous error
+    set's box corner.
+
+    At every step size and order ``eta >= 1`` the set ``E`` that
+    ``homogeneous_error`` returns has ``|c| + sum_j |g_j| >= dt**2 * v``
+    entrywise, with ``v = (|A^2| (|c_X0| + sum_j |g_X0,j|) + |A| |c_U|) / 16``:
+    the curvature enclosure's radius is at least that of its k = 2 term,
+    ``dt**2 |A^2| / 16`` (at eta = 1 the remainder ``|A|^2 dt^2 / 2 / (1 -
+    zeta)`` is larger still), the correction's radius is at least
+    ``dt**2 |A| / 16``, and ``interval_map`` turns those radii into box
+    halfwidths of ``E``. The point of ``E`` that attains its largest
+    coordinate keeps at least ``sigma_min(M)`` of its length under a point
+    matrix ``M``, so
+
+        propagated_error(acc, E) >= sigma_min(mid(acc.enclosure)) * dt**2 * max(v).
+
+    ``ExponentialAccumulator.min_gain`` gives the ``sigma_min`` factor.
+    """
+    a = sys.a
+    x0 = sys.initial_set
+    corner = np.abs(x0.center) + np.abs(x0.generators).sum(axis=1)
+    v = (np.abs(a @ a) @ corner + np.abs(a) @ np.abs(sys.input_set.center)) / 16.0
+    return float(v.max())
 
 
 def homogeneous_step(sys: LinearSystem, series: TaylorSeries,

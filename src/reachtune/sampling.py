@@ -197,10 +197,24 @@ class ContainmentReport:
 
 def check_containment(segments: list[ReachSegment], batch: TrajectoryBatch,
                       tol: float = 1e-6) -> ContainmentReport:
-    """Verify that every sampled state lies in the segment covering its time."""
+    """Verify that every sampled state lies in the segment covering its time.
+
+    Each sample time goes to the last segment starting at or before it.
+    Raises ``ValueError`` naming the first sample time that segment does
+    not cover: one before the first segment, after the last, or in a gap.
+    """
+    if not segments:
+        raise ValueError("no segments to check the samples against")
     t_lo = np.array([seg.t_lo for seg in segments])
-    seg_idx = np.clip(np.searchsorted(t_lo, batch.times, side="right") - 1,
-                      0, len(segments) - 1)
+    t_hi = np.array([seg.t_hi for seg in segments])
+    seg_idx = np.searchsorted(t_lo, batch.times, side="right") - 1
+    uncovered = (seg_idx < 0) | (batch.times > t_hi[np.maximum(seg_idx, 0)])
+    if uncovered.any():
+        first = int(np.argmax(uncovered))
+        raise ValueError(
+            f"sample time {batch.times[first]:.6g} is not covered by the "
+            f"segments [{t_lo[0]:.6g}, {t_hi[-1]:.6g}]: check that they "
+            f"tile the batch's time span")
     checked = 0
     contained = 0
     failures = []

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .reach import (ExponentialAccumulator, LinearSystem, ReachSegment,
-                    StepSets, build_step_sets, homogeneous_error, minkowski_sum,
-                    propagate_step, propagated_error)
+                    StepSets, build_step_sets, homogeneous_error,
+                    homogeneous_error_floor, minkowski_sum, propagate_step,
+                    propagated_error)
 from .taylor import (MatrixPowers, TaylorSeries, convergence_ratio,
                      max_taylor_order)
 from .zonotope import Zonotope
@@ -121,7 +122,8 @@ class TunedStep:
 
 
 class _Workspace:
-    """Per-run state: matrix powers, order caps by step size and a build meter.
+    """Per-run state: matrix powers, order caps by step size, the largest
+    entry of the homogeneous error floor and a build meter.
 
     All construction of step pieces, from Taylor terms to step sets, is
     metered in ``build_seconds``, apart from the search around it. Nothing
@@ -133,6 +135,7 @@ class _Workspace:
     def __init__(self, sys: LinearSystem):
         self.sys = sys
         self.powers = MatrixPowers(sys.a)
+        self.hom_floor = homogeneous_error_floor(sys)
         self.build_seconds = 0.0
         self._caps: dict[float, int] = {}
 
@@ -191,17 +194,24 @@ def tune_step(sys: LinearSystem, acc: ExponentialAccumulator,
     Starts from the previous step enlarged once by ``1/0.9`` with the
     order reset to 1; raises the order up to its cut-off, then shrinks dt
     by 0.9 per sweep, until both the homogeneous error and the admissible
-    input error accept the candidate.
+    input error accept the candidate. A dt whose certified floor on the
+    homogeneous error (``homogeneous_error_floor``), halved to absorb
+    rounding, already exceeds the cap is skipped without a sweep: no order
+    could pass there, so the accepted step is the same, and the skipped
+    dt adds no retries.
     """
+    floor_rate = 0.5 * acc.min_gain() * workspace.hom_floor
     dt = dt_prev / _SHRINK
     retries = 0
     while True:
-        admissible = admissible_share(budget.input_max - ledger.input_acc,
-                                      dt, t, sys.horizon)
-        step, tried = _try_orders(workspace, acc, budget, ledger, dt, admissible)
-        retries += tried
-        if step is not None:
-            return replace(step, retries=retries)
+        if not floor_rate * dt * dt > budget.hom_max:
+            admissible = admissible_share(budget.input_max - ledger.input_acc,
+                                          dt, t, sys.horizon)
+            step, tried = _try_orders(workspace, acc, budget, ledger, dt,
+                                      admissible)
+            retries += tried
+            if step is not None:
+                return replace(step, retries=retries)
         dt *= _SHRINK
         if dt < sys.horizon * _DT_UNDERFLOW:
             raise TuningFailedError(

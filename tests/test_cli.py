@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from reachtune import cli
 from reachtune.cli import main
 from reachtune.modelio import (SafetySpec, load_model, read_report,
                                read_result, save_model)
@@ -113,6 +114,49 @@ def test_input_errors_exit_three(tmp_path, capsys):
     assert main(["baseline", "--model", str(spin_path), "--dt", "3.0",
                  "--eta", "1", "--rho", "10"]) == 3
     capsys.readouterr()
+
+
+def test_malformed_numbers_exit_three(tmp_path, capsys):
+    # input checked where it enters: non-numeric fields, bad --eps and
+    # --weights values, sample counts and a result of another dimension
+    model = gen_model(tmp_path)
+    raw = json.loads(model.read_text())
+    raw["A"] = [["a", 0.0], [0.0, 1.0]]
+    bad = tmp_path / "bad_a.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["run", "--model", str(bad), "--eps", "0.05"]) == 3
+    assert "field A must be numeric" in capsys.readouterr().err
+    for eps, weights in (("0", "0.4,0.3,0.3"), ("nan", "0.4,0.3,0.3"),
+                         ("0.05", "0.5,0.5,0.5"), ("0.05", "-0.5,1,0.5")):
+        assert main(["run", "--model", str(model), "--eps", eps,
+                     "--weights", weights]) == 3
+    traj = str(tmp_path / "t.jsonl")
+    assert main(["sample", "--model", str(model), "--count", "0",
+                 "--seed", "1", "--out", traj]) == 3
+    assert main(["sample", "--model", str(model), "--count", "1",
+                 "--seed", "1", "--out", traj, "--step", "-1"]) == 3
+    out = tmp_path / "r.jsonl"
+    assert main(["run", "--model", str(model), "--eps", "0.5",
+                 "--out", str(out)]) == 0
+    assert main(["check", "--result", str(out),
+                 "--model", str(gen_model(tmp_path, "m3.json", dim=3))]) == 3
+    capsys.readouterr()
+
+
+def test_run_time_failures_exit_four(tmp_path, capsys, monkeypatch):
+    model = gen_model(tmp_path)
+    # no homogeneous budget: the step search cannot meet the cap
+    assert main(["run", "--model", str(model), "--eps", "0.05",
+                 "--weights", "0,0.5,0.5"]) == 4
+    assert "time step underflow" in capsys.readouterr().err
+    # a ValueError raised inside the analysis is a fault, not bad input
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken invariant")
+
+    monkeypatch.setattr(cli, "run_adaptive", broken)
+    assert main(["run", "--model", str(model), "--eps", "0.05"]) == 4
+    assert "internal error: broken invariant" in capsys.readouterr().err
 
 
 def test_run_very_stiff_model_succeeds(tmp_path, capsys):

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from reachtune.intervals import IntervalMatrix
 from reachtune.reach import (ExponentialAccumulator, LinearSystem,
                              build_step_sets, homogeneous_error,
-                             homogeneous_step, inhomogeneous_step,
-                             propagate_step, propagated_error)
-from reachtune.taylor import (MatrixPowers, TaylorSeries, taylor_partial_sum,
+                             homogeneous_error_floor, homogeneous_step,
+                             inhomogeneous_step, propagate_step,
+                             propagated_error)
+from reachtune.taylor import (MatrixPowers, TaylorSeries, convergence_ratio,
+                              max_taylor_order, taylor_partial_sum,
                               truncation_remainder)
 from reachtune.sampling import batch_contains
 from reachtune.zonotope import Zonotope, enclosure_radius, interval_hull
@@ -71,6 +75,39 @@ def test_homogeneous_error_shrinks_with_dt():
         errors.append(enclosure_radius(error))
         dt *= 0.5
     assert all(b < a for a, b in zip(errors, errors[1:]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), log_scale=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2**32 - 1), interval_acc=st.booleans(),
+       log_dts=st.lists(st.floats(-4.0, 0.0), min_size=1, max_size=3))
+def test_homogeneous_error_floor_bounds_every_order(n, log_scale, seed,
+                                                    interval_acc, log_dts):
+    # min_gain * max(v) * dt^2 is a lower bound on the propagated
+    # homogeneous error at every order that converges and stays finite
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** log_scale * rng.uniform(-1.0, 1.0, (n, n))
+    x0 = Zonotope(rng.uniform(-5.0, 5.0, n),
+                  10.0 ** rng.uniform(-3.0, 0.0) * rng.uniform(
+                      -1.0, 1.0, (n, int(rng.integers(1, 2 * n + 1)))))
+    u = Zonotope(rng.uniform(-2.0, 2.0, n), 0.05 * np.eye(n))
+    sys = LinearSystem(a, x0, u, 1.0)
+    if interval_acc:
+        mid = 10.0 ** rng.uniform(-2.0, 0.5) * rng.uniform(-1.0, 1.0, (n, n))
+        rad = 0.1 * np.abs(rng.uniform(-1.0, 1.0, (n, n)))
+        acc = ExponentialAccumulator(IntervalMatrix(mid - rad, mid + rad))
+    else:
+        acc = ExponentialAccumulator.identity(n)
+    rate = acc.min_gain() * homogeneous_error_floor(sys)
+    powers = MatrixPowers(a)
+    for dt in (10.0 ** x for x in log_dts):
+        series = TaylorSeries(powers, dt)
+        for eta in range(1, max_taylor_order(series, dt) + 1):
+            if (convergence_ratio(powers, dt, eta) >= 1.0
+                    or not series.is_finite(eta)):
+                continue
+            error = propagated_error(acc, homogeneous_error(sys, series, eta))
+            assert rate * dt * dt <= error
 
 
 def test_inhomogeneous_step_no_input():

@@ -129,6 +129,25 @@ def test_check_containment_rejects_wrong_dimension():
         check_containment([segment], batch)
 
 
+def test_check_containment_rejects_uncovered_times():
+    # segments through t 1.437 of a run to T 3, against a batch to T 3:
+    # the later samples have no segment, so nothing may be reported
+    sys = random_system(2, seed=1)
+    segments = run(sys, eps_max=0.05).segments
+    head = [seg for seg in segments if seg.t_hi <= 1.437]
+    batch = sample_trajectories(sys, count=5, seed=0, step=0.01)
+    with pytest.raises(ValueError, match="not covered"):
+        check_containment(head, batch)
+    with pytest.raises(ValueError, match="sample time 0 "):
+        check_containment(segments[1:], batch)
+    in_gap = batch.times[batch.times > segments[3].t_lo][0]
+    with pytest.raises(ValueError, match=f"sample time {in_gap:.6g} "):
+        check_containment(segments[:3] + segments[4:], batch)
+    with pytest.raises(ValueError, match="no segments"):
+        check_containment([], batch)
+    assert check_containment(segments, batch).checked == batch.times.size * 5
+
+
 def test_sample_validation():
     sys = static_system()
     with pytest.raises(ValueError):

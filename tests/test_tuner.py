@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachtune import tuner
 from reachtune.modelio import random_system
 from reachtune.reach import LinearSystem
 from reachtune.sampling import check_containment, sample_trajectories
@@ -479,12 +480,33 @@ def stiff_system(lam):
 
 
 def test_run_stiff_search_evaluates_pinned_candidates():
-    # the blind (dt, eta) sweep on the stiff model, as first recorded: any
-    # change to which candidates the search evaluates shows here
+    # the (dt, eta) sweep on the stiff model: any change to which
+    # candidates the search evaluates shows here. The homogeneous error
+    # floor skips the first step's hopeless step sizes (the blind sweep
+    # evaluated 1469 candidates there and 1639 in all) without moving the
+    # accepted step.
     result = run(stiff_system(100.0), eps_max=0.05)
-    retries = [r.retries for r in result.ledger.records]
+    records = result.ledger.records
+    retries = [r.retries for r in records]
     assert result.steps == 25
-    assert retries[0] == 1469
-    assert sum(retries) == 1639
-    assert [r.taylor_order for r in result.ledger.records] == [
+    assert records[0].dt == 0.003232579099291748
+    assert retries[0] == 83
+    assert sum(retries) == 253
+    assert [r.taylor_order for r in records] == [
         3, 3, 3, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 3, 2, 3, 3, 4, 6, 3, 5, 2, 6, 1]
+
+
+def test_run_zero_homogeneous_weight_fails_without_sweeping(monkeypatch):
+    # the floor on the homogeneous error is positive, so with no
+    # homogeneous budget every step size is skipped down to the underflow
+    swept = []
+    sweep = tuner._try_orders
+
+    def try_orders(*args):
+        swept.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(tuner, "_try_orders", try_orders)
+    with pytest.raises(TuningFailedError, match="underflow"):
+        run(stiff_system(100.0), eps_max=0.05, weights=(0.0, 0.5, 0.5))
+    assert swept == []
