@@ -5,11 +5,14 @@ Subcommands: ``run`` (adaptive analysis), ``baseline`` (fixed parameters),
 ``sample`` (trajectory oracle). Exit codes: 0 completed and all specs hold,
 2 a spec is violated, 3 input error, 4 the analysis failed at run time or
 an internal error. Input is checked where it enters, so only its own
-errors (``ModelError``, usage errors, a missing file) exit 3.
+errors (``ModelError``, usage errors, a missing file) exit 3. Output paths
+are checked before any analysis: a path that is a directory, or whose
+directory does not exist, exits 3.
 
-``reach run`` accepts ``--model`` several times; the models run one after
-another, and the output paths must then contain ``{}`` as a placeholder for
-the model stem.
+``reach run`` accepts ``--model`` several times; the output paths must then
+contain ``{}`` as a placeholder for the model stem. Every model and output
+path is checked first; the models then run one after another, and each
+prints its summary as it finishes.
 """
 
 from __future__ import annotations
@@ -65,6 +68,20 @@ def _expand(template: str | None, stem: str, multi: bool) -> str | None:
     return template
 
 
+def _check_outputs(*paths: str | None) -> None:
+    """Reject each given path (``None`` is skipped) that is a directory or
+    whose directory does not exist."""
+    for path in paths:
+        if path is None:
+            continue
+        target = Path(path)
+        if target.is_dir():
+            raise _UsageError(f"output path {path} is a directory")
+        if not target.parent.is_dir():
+            raise _UsageError(f"output path {path}: directory "
+                              f"{target.parent} does not exist")
+
+
 def _print_verdicts(verdicts) -> bool:
     all_ok = True
     for v in verdicts:
@@ -85,28 +102,32 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     multi = len(args.model) > 1
-
-    def analyze(path: str):
+    jobs = []
+    for path in args.model:
         system, specs = load_model(path)
         stem = Path(path).stem
-        result, report = run_adaptive(
-            system, args.eps, weights,
-            out_path=_expand(args.out, stem, multi),
-            report_path=_expand(args.report, stem, multi))
-        return path, result, report, specs
+        out_path = _expand(args.out, stem, multi)
+        report_path = _expand(args.report, stem, multi)
+        _check_outputs(out_path, report_path)
+        jobs.append((path, system, specs, out_path, report_path))
 
     code = EXIT_OK
-    for path, result, report, specs in [analyze(p) for p in args.model]:
+    for path, system, specs, out_path, report_path in jobs:
+        result, report = run_adaptive(system, args.eps, weights,
+                                      out_path=out_path,
+                                      report_path=report_path)
         print(f"{path}: steps={report.steps} "
               f"dt=[{report.dt_min:.6g}, {report.dt_max:.6g}] "
               f"wall={report.wall_time:.3g}s "
               f"tuning_fraction={report.tuning_time_fraction:.3f}")
         if specs and not _print_verdicts(check_specs(result, specs)):
             code = EXIT_SPEC_VIOLATED
+        sys.stdout.flush()
     return code
 
 
 def _cmd_baseline(args) -> int:
+    _check_outputs(args.out, args.report)
     system, specs = load_model(args.model)
     result, report = run_fixed_baseline(system, args.dt, args.eta, args.rho,
                                         out_path=args.out,
@@ -121,6 +142,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _check_outputs(args.out)
     system = random_system(args.dim, args.seed)
     save_model(args.out, system)
     print(f"wrote {args.dim}-dimensional model (seed {args.seed}) to {args.out}")
@@ -146,6 +168,7 @@ def _cmd_sample(args) -> int:
         raise _UsageError(f"--count must be >= 1, got {args.count}")
     if args.step is not None and not 0 < args.step < float("inf"):
         raise _UsageError(f"--step must be positive and finite, got {args.step}")
+    _check_outputs(args.out)
     system, _ = load_model(args.model)
     if args.step is not None:
         step = args.step

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .kernels import rk4_piecewise
 from .reach import LinearSystem, ReachSegment
@@ -99,6 +98,10 @@ def batch_contains(z: Zonotope, points: np.ndarray, tol: float) -> np.ndarray:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != z.dim:
         raise ValueError(f"points of shape {points.shape} do not have width {z.dim}")
+    # The LP's module loads on every call, not only when a point reaches
+    # the LP: it adds about 40 MB, and a command's memory should not hinge
+    # on whether some sampled state happens to be a straggler.
+    import scipy.optimize  # noqa: F401
     r = points - z.center[None, :]
     scale = max(1.0, float(np.abs(z.center).max(initial=0.0)),
                 float(np.abs(points).max(initial=0.0)))
@@ -165,6 +168,10 @@ def batch_contains(z: Zonotope, points: np.ndarray, tol: float) -> np.ndarray:
 
 def _min_inf_norm(g: np.ndarray, r: np.ndarray, eq_tol: float) -> float:
     # LP over (beta, s): minimize s subject to G beta = r, |beta_j| <= s.
+    # Imported here: scipy.optimize takes most of the package's import time,
+    # and only the membership test uses it (batch_contains loads it first).
+    from scipy.optimize import linprog
+
     n, gamma = g.shape
     c = np.zeros(gamma + 1)
     c[-1] = 1.0

@@ -247,3 +247,76 @@ def test_gen_model_round_trips(tmp_path):
     assert sys_.dim == 5
     assert sys_.horizon == 3.0
     assert specs == []
+
+
+def test_bad_output_paths_exit_three_before_any_analysis(tmp_path, capsys,
+                                                         monkeypatch):
+    model = gen_model(tmp_path)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("the analysis ran")
+
+    for name in ("run_adaptive", "run_fixed_baseline", "sample_trajectories"):
+        monkeypatch.setattr(cli, name, counted)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    missing = tmp_path / "missing" / "r.jsonl"
+    for flag in ("--out", "--report"):
+        for path in (folder, missing):
+            assert main(["run", "--model", str(model), "--eps", "0.05",
+                         flag, str(path)]) == 3
+            assert main(["baseline", "--model", str(model), "--dt", "0.1",
+                         "--eta", "6", "--rho", "10", flag, str(path)]) == 3
+    # the {}-expanded path names a directory for the second model only
+    m2 = gen_model(tmp_path, "m2.json", seed=2)
+    (tmp_path / "m2.jsonl").mkdir()
+    assert main(["run", "--model", str(model), "--model", str(m2),
+                 "--eps", "0.05", "--out", str(tmp_path / "{}.jsonl")]) == 3
+    for path in (folder, missing):
+        assert main(["gen", "--dim", "2", "--seed", "1",
+                     "--out", str(path)]) == 3
+        assert main(["sample", "--model", str(model), "--count", "1",
+                     "--seed", "1", "--out", str(path)]) == 3
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.count("error: output path") == 13
+    assert "internal error" not in err
+
+
+def test_bad_second_model_exits_three_before_any_analysis(tmp_path, capsys,
+                                                          monkeypatch):
+    model = gen_model(tmp_path)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{broken")
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(cli, "run_adaptive",
+                        lambda *args, **kwargs: calls.append(args))
+    for second in (broken, tmp_path / "nope.json"):
+        assert main(["run", "--model", str(model), "--model", str(second),
+                     "--eps", "0.05"]) == 3
+    assert calls == []
+    assert capsys.readouterr().out == ""
+
+
+def test_run_prints_each_model_as_it_finishes(tmp_path, capsys, monkeypatch):
+    m1 = gen_model(tmp_path, "m1.json", seed=1)
+    m2 = gen_model(tmp_path, "m2.json", seed=2)
+    capsys.readouterr()
+    analyse = cli.run_adaptive
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("second model failed")
+        return analyse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_adaptive", second_fails)
+    assert main(["run", "--model", str(m1), "--model", str(m2),
+                 "--eps", "0.05"]) == 4
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == [str(m1)]
+    assert "internal error: second model failed" in captured.err

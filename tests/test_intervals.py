@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from reachtune.intervals import IntervalMatrix, IntervalVector, scaled_bounds
+from reachtune.sampling import batch_contains
+from reachtune.zonotope import Zonotope, interval_map
 
 
 def test_interval_vector_validation():
@@ -121,3 +126,39 @@ def test_scale_requires_nonnegative():
         m.scale(-1.0)
     doubled = m.scale(2.0)
     assert doubled.hi[0, 0] == 2.0
+
+
+@st.composite
+def matrix_and_zonotope(draw):
+    """An interval matrix and a zonotope it maps, dims 1-6.
+
+    Entries are multiples of 1/8 up to 10 in magnitude, so the enclosure
+    and the vertex products are computed without rounding, and no nonzero
+    entry is small enough for the LP behind ``batch_contains`` to drop
+    (HiGHS discards matrix entries below 1e-9).
+    """
+    rows, dim, gamma = (draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+                        draw(st.integers(0, 6)))
+    value = st.integers(-80, 80).map(lambda k: k / 8)
+    lo = draw(arrays(np.float64, (rows, dim), elements=value))
+    width = draw(arrays(np.float64, (rows, dim),
+                        elements=st.integers(0, 40).map(lambda k: k / 8)))
+    center = draw(arrays(np.float64, dim, elements=value))
+    generators = draw(arrays(np.float64, (dim, gamma), elements=value))
+    return IntervalMatrix(lo, lo + width), Zonotope(center, generators)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_and_zonotope(), st.integers(0, 2**32 - 1))
+def test_interval_map_encloses_sampled_products(case, seed):
+    m, z = case
+    rng = np.random.default_rng(seed)
+    # matrices: random vertices of m, then interior entries
+    picks = [np.where(rng.random(m.shape) < 0.5, m.lo, m.hi) for _ in range(4)]
+    picks += [m.lo + rng.random(m.shape) * (m.hi - m.lo) for _ in range(4)]
+    # states: vertex coefficients of z, then interior ones
+    beta = rng.uniform(-1.0, 1.0, size=(8, z.num_generators))
+    beta[:4] = np.sign(beta[:4]) + (beta[:4] == 0)
+    states = z.center + beta @ z.generators.T
+    products = np.concatenate([states @ pick.T for pick in picks])
+    assert batch_contains(interval_map(m, z), products, tol=1e-9).all()
