@@ -6,8 +6,8 @@ Subcommands: ``run`` (adaptive analysis), ``baseline`` (fixed parameters),
 2 a spec is violated, 3 input error, 4 the analysis failed at run time or
 an internal error. Input is checked where it enters, so only its own
 errors (``ModelError``, usage errors, a missing file) exit 3. Output paths
-are checked before any analysis: a path that is a directory, or whose
-directory does not exist, exits 3.
+are checked before any analysis: a path that is a directory, a path whose
+directory does not exist, or two outputs on one file, exits 3.
 
 ``reach run`` accepts ``--model`` several times; the output paths must then
 contain ``{}`` as a placeholder for the model stem. Every model and output
@@ -70,7 +70,8 @@ def _expand(template: str | None, stem: str, multi: bool) -> str | None:
 
 def _check_outputs(*paths: str | None) -> None:
     """Reject each given path (``None`` is skipped) that is a directory or
-    whose directory does not exist."""
+    whose directory does not exist, and any two that name one file."""
+    seen = {}
     for path in paths:
         if path is None:
             continue
@@ -80,6 +81,10 @@ def _check_outputs(*paths: str | None) -> None:
         if not target.parent.is_dir():
             raise _UsageError(f"output path {path}: directory "
                               f"{target.parent} does not exist")
+        key = target.resolve()
+        if key in seen:
+            raise _UsageError(f"output paths {seen[key]} and {path} name the same file")
+        seen[key] = path
 
 
 def _print_verdicts(verdicts) -> bool:
@@ -106,10 +111,9 @@ def _cmd_run(args) -> int:
     for path in args.model:
         system, specs = load_model(path)
         stem = Path(path).stem
-        out_path = _expand(args.out, stem, multi)
-        report_path = _expand(args.report, stem, multi)
-        _check_outputs(out_path, report_path)
-        jobs.append((path, system, specs, out_path, report_path))
+        jobs.append((path, system, specs, _expand(args.out, stem, multi),
+                     _expand(args.report, stem, multi)))
+    _check_outputs(*(out for job in jobs for out in job[3:]))
 
     code = EXIT_OK
     for path, system, specs, out_path, report_path in jobs:

@@ -97,12 +97,12 @@ class ExponentialAccumulator:
                  remainder: IntervalMatrix) -> "ExponentialAccumulator":
         """Compose one step: ``phi' = phi @ ([W, W] + E)``.
 
-        Interval products skip validation, so an enclosure that outgrows the
-        float range is caught here, once per step.
+        The remainder ``E`` is centred at zero, so the step interval is
+        ``(W, rad(E))``. Interval products skip validation, so an enclosure
+        that outgrows the float range is caught here, once per step.
         """
-        step = IntervalMatrix.from_point(propagator) + remainder
-        enclosure = self.enclosure @ step
-        if not (np.isfinite(enclosure.lo).all() and np.isfinite(enclosure.hi).all()):
+        enclosure = self.enclosure @ IntervalMatrix._trusted(propagator, remainder.rad)
+        if not (np.isfinite(enclosure.mid).all() and np.isfinite(enclosure.rad).all()):
             raise ValueError("enclosure of exp(A t) overflowed")
         return ExponentialAccumulator(enclosure)
 
@@ -110,7 +110,7 @@ class ExponentialAccumulator:
         """Lower bound on ``||mid(enclosure) x|| / ||x||``: the smallest
         singular value, less its floating-point error (a small multiple of
         ``n * eps`` times the largest, by Weyl's inequality)."""
-        s = np.linalg.svd(self.enclosure.mid(), compute_uv=False)
+        s = np.linalg.svd(self.enclosure.mid, compute_uv=False)
         slack = 2 * s.size * np.finfo(float).eps * s[0]
         return max(float(s[-1] - slack), 0.0)
 

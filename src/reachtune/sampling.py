@@ -117,9 +117,10 @@ def batch_contains(z: Zonotope, points: np.ndarray, tol: float) -> np.ndarray:
     idx = np.flatnonzero(inside_box)
     work_r = r[idx]
 
-    axis = (np.count_nonzero(z.generators, axis=0) == 1)
+    nonzero = np.count_nonzero(z.generators, axis=0)
+    axis = nonzero == 1
     slack = (1.0 + tol) * np.abs(z.generators[:, axis]).sum(axis=1) + eq_tol
-    g = z.generators[:, ~axis]
+    g = z.generators[:, nonzero > 1]
     if g.shape[1] == 0:
         out[idx] = np.all(np.abs(work_r) <= slack[None, :], axis=1)
         return out
@@ -135,8 +136,10 @@ def batch_contains(z: Zonotope, points: np.ndarray, tol: float) -> np.ndarray:
     idx, work_r, beta = idx[~feasible], work_r[~feasible], beta[~feasible]
 
     # column-normalized generators keep the splitting well conditioned;
-    # the scales move into per-coordinate bounds
-    scales = np.linalg.norm(g, axis=0)
+    # the scales move into per-coordinate bounds; dividing by each column's
+    # largest entry first keeps its norm from underflowing or overflowing
+    peak = np.abs(g).max(axis=0)
+    scales = peak * np.linalg.norm(g / peak, axis=0)
     g = g / scales
     bounds = (1.0 + tol) * scales
     n = g.shape[0]
@@ -175,12 +178,15 @@ def _min_inf_norm(g: np.ndarray, r: np.ndarray, eq_tol: float) -> float:
     n, gamma = g.shape
     c = np.zeros(gamma + 1)
     c[-1] = 1.0
-    a_eq = np.hstack((g, np.zeros((n, 1))))
+    # rows scaled to a largest entry of 1: HiGHS drops entries below 1e-9
+    rows = np.abs(g).max(axis=1, initial=0.0)
+    rows[rows == 0.0] = 1.0
+    a_eq = np.hstack((g / rows[:, None], np.zeros((n, 1))))
     ones = np.ones((gamma, 1))
     a_ub = np.block([[np.eye(gamma), -ones], [-np.eye(gamma), -ones]])
     b_ub = np.zeros(2 * gamma)
     bounds = [(None, None)] * gamma + [(0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=r,
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=r / rows,
                   bounds=bounds, method="highs")
     if not res.success:
         # Equalities infeasible: the point is off the generator span.

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .intervals import IntervalMatrix, scaled_bounds
+from .intervals import IntervalMatrix
 
 
 class NotConvergentError(ArithmeticError):
@@ -87,15 +87,16 @@ def _point_term(powers: MatrixPowers, dt: float, k: int, p: int) -> np.ndarray:
 
 
 def _mixed_term(powers: MatrixPowers, dt: float, k: int, p: int) -> np.ndarray:
-    """Endpoints of ``[c_k dt^k, 0] A^p / k!`` stacked as one ``(2, n, n)``
-    array, unchecked; k >= 2.
+    """Midpoint and radius of ``[c_k dt^k, 0] A^p / k!`` stacked as one
+    ``(2, n, n)`` array, unchecked; k >= 2.
 
     ``c_k = k^(-k/(k-1)) - k^(-1/(k-1)) < 0`` is the spread of ``t^k``-type
-    terms over a step relative to its endpoints.
+    terms over a step relative to its endpoints; ``[c, 0] P = (c/2 P, |c/2 P|)``.
     """
     c_k = k ** (-k / (k - 1.0)) - k ** (-1.0 / (k - 1.0))
-    coeff = c_k * _dt_power(dt, k, over_factorial=False)
-    return np.array(scaled_bounds(coeff, 0.0, powers.power(p) / math.factorial(k)))
+    half = 0.5 * c_k * _dt_power(dt, k, over_factorial=False)
+    mid = half * (powers.power(p) / math.factorial(k))
+    return np.stack((mid, np.abs(mid)))
 
 
 def taylor_partial_sum(a, dt: float, eta: int) -> np.ndarray:
@@ -156,7 +157,8 @@ def curvature_enclosure(a, dt: float, eta: int) -> IntervalMatrix:
     total = np.zeros((2, powers.dim, powers.dim))
     for k in range(2, eta + 1):
         total = total + _mixed_term(powers, dt, k, k)
-    return IntervalMatrix(*total) + truncation_remainder(powers, dt, eta)
+    return IntervalMatrix._finite(total[0],
+                                  total[1] + _remainder_halfwidth(powers, dt, eta))
 
 
 def input_correction(a, dt: float, eta: int) -> IntervalMatrix:
@@ -169,7 +171,8 @@ def input_correction(a, dt: float, eta: int) -> IntervalMatrix:
     total = np.zeros((2, powers.dim, powers.dim))
     for k in range(2, eta + 2):
         total = total + _mixed_term(powers, dt, k, k - 1)
-    return IntervalMatrix(*total) + truncation_remainder(powers, dt, eta).scale(dt)
+    return IntervalMatrix._finite(total[0],
+                                  total[1] + _remainder_halfwidth(powers, dt, eta) * dt)
 
 
 class TaylorSeries:
@@ -178,7 +181,7 @@ class TaylorSeries:
     The partial sum, the input propagator and the sums of the curvature
     and correction terms are running sums, grown term by term on demand
     up to the highest order asked for, like ``MatrixPowers``; each
-    interval sum is one stacked ``(lo, hi)`` array. The remainder depends
+    interval sum is one stacked ``(mid, rad)`` array. The remainder depends
     on the order, so it is added last. The per-order functions of the
     same names sum the same terms in the same order, so each piece equals
     theirs bit for bit; they are the reference the series is tested
@@ -231,14 +234,14 @@ class TaylorSeries:
         if eta == self._finite_eta:
             return self._finite_pieces[0]
         half = _remainder_halfwidth(self.powers, self.dt, eta)
-        return IntervalMatrix(*self._curvature_bounds(eta, half))
+        return IntervalMatrix._finite(*self._curvature_bounds(eta, half))
 
     def correction(self, eta: int) -> IntervalMatrix:
         """As ``input_correction``."""
         if eta == self._finite_eta:
             return self._finite_pieces[1]
         half = _remainder_halfwidth(self.powers, self.dt, eta)
-        return IntervalMatrix(*self._correction_bounds(eta, half))
+        return IntervalMatrix._finite(*self._correction_bounds(eta, half))
 
     def is_finite(self, eta: int) -> bool:
         """Whether every piece at order ``eta`` is finite.
@@ -264,14 +267,13 @@ class TaylorSeries:
 
     def _curvature_bounds(self, eta: int,
                           half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self._grow(self._curvature, eta, _mixed_term, 0)
-        return lo - half, hi + half
+        mid, rad = self._grow(self._curvature, eta, _mixed_term, 0)
+        return mid, rad + half
 
     def _correction_bounds(self, eta: int,
                            half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self._grow(self._correction, eta + 1, _mixed_term, 1)
-        half_dt = half * self.dt
-        return lo - half_dt, hi + half_dt
+        mid, rad = self._grow(self._correction, eta + 1, _mixed_term, 1)
+        return mid, rad + half * self.dt
 
 
 MAX_ORDER_CAP = 100

@@ -122,13 +122,10 @@ def interval_map(m: IntervalMatrix, z: Zonotope) -> Zonotope:
     """
     if m.shape[1] != z.dim:
         raise ValueError(f"matrix columns {m.shape[1]} != dimension {z.dim}")
-    mid = m.mid()
-    mapped = Zonotope._trusted(mid @ z.center, _nonzero_columns(mid @ z.generators))
-    rad = m.rad()
-    if not rad.any():
+    mapped = Zonotope._trusted(m.mid @ z.center, _nonzero_columns(m.mid @ z.generators))
+    if not m.rad.any():
         return mapped
-    reach_bound = np.abs(z.center) + _halfwidths(z)
-    halfwidths = rad @ reach_bound
+    halfwidths = m.rad @ (np.abs(z.center) + _halfwidths(z))
     box = Zonotope._trusted(np.zeros(m.shape[0]),
                             _nonzero_columns(np.diag(halfwidths)))
     return minkowski_sum(mapped, box)

@@ -285,6 +285,49 @@ def test_bad_output_paths_exit_three_before_any_analysis(tmp_path, capsys,
     assert "internal error" not in err
 
 
+def _forbid_analysis(monkeypatch):
+    calls = []
+    for name in ("run_adaptive", "run_fixed_baseline"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(args))
+    return calls
+
+
+def test_result_and_report_on_one_file_exit_three(tmp_path, capsys, monkeypatch):
+    model = gen_model(tmp_path)
+    calls = _forbid_analysis(monkeypatch)
+    same = str(tmp_path / "r.json")
+    # the same file, spelled the same or through another directory
+    for report in (same, str(tmp_path / "sub" / ".." / "r.json")):
+        (tmp_path / "sub").mkdir(exist_ok=True)
+        assert main(["run", "--model", str(model), "--eps", "0.05",
+                     "--out", same, "--report", report]) == 3
+        assert main(["baseline", "--model", str(model), "--dt", "0.1",
+                     "--eta", "6", "--rho", "10",
+                     "--out", same, "--report", report]) == 3
+    assert calls == []
+    assert not (tmp_path / "r.json").exists()
+    assert capsys.readouterr().err.count("name the same file") == 4
+
+
+def test_models_with_one_stem_exit_three(tmp_path, capsys, monkeypatch):
+    # two models named m.json in different directories expand {} alike
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        gen_model(tmp_path / folder, "m.json")
+    calls = _forbid_analysis(monkeypatch)
+    models = ["--model", str(tmp_path / "a" / "m.json"),
+              "--model", str(tmp_path / "b" / "m.json")]
+    for flag in ("--out", "--report"):
+        assert main(["run", *models, "--eps", "0.05",
+                     flag, str(tmp_path / "{}.json")]) == 3
+    # distinct result and report files do not separate the two models
+    assert main(["run", *models, "--eps", "0.05",
+                 "--out", str(tmp_path / "{}.jsonl"),
+                 "--report", str(tmp_path / "{}.json")]) == 3
+    assert calls == []
+    assert capsys.readouterr().err.count("name the same file") == 3
+
+
 def test_bad_second_model_exits_three_before_any_analysis(tmp_path, capsys,
                                                           monkeypatch):
     model = gen_model(tmp_path)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reachtune.intervals import IntervalMatrix, IntervalVector, scaled_bounds
+from reachtune.intervals import IntervalMatrix, IntervalVector
 from reachtune.sampling import batch_contains
 from reachtune.zonotope import Zonotope, interval_map
 
@@ -110,14 +110,6 @@ def test_mul_encloses_sampled_products():
             slack = 1e-12 * (1 + np.abs(x @ y))
             assert np.all(x @ y >= prod.lo - slack)
             assert np.all(x @ y <= prod.hi + slack)
-
-
-def test_scaled_interval_handles_mixed_signs():
-    point = np.array([[1.0, -2.0], [0.0, 3.0]])
-    lo, hi = scaled_bounds(-0.25, 0.0, point)
-    # [l, 0] * p is [l*p, 0] for p > 0 and [0, l*p] for p < 0
-    np.testing.assert_allclose(lo, [[-0.25, 0.0], [0.0, -0.75]])
-    np.testing.assert_allclose(hi, [[0.0, 0.5], [0.0, 0.0]])
 
 
 def test_scale_requires_nonnegative():

@@ -25,11 +25,24 @@ def interval_factors(draw):
     return lo1, hi1, lo2, hi2
 
 
+def mid_rad(lo, hi):
+    return 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+
+
+def tightest_product(lo1, hi1, lo2, hi2):
+    """Entrywise-tightest enclosure of {X @ Y : lo1<=X<=hi1, lo2<=Y<=hi2}:
+    each term's four endpoint products are enumerated exactly."""
+    terms = np.stack([x[:, :, None] * y[None, :, :]
+                      for x in (lo1, hi1) for y in (lo2, hi2)])
+    return terms.min(axis=0).sum(axis=1), terms.max(axis=0).sum(axis=1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(interval_factors(), st.integers(0, 2**32 - 1))
-def test_interval_matmul_encloses_and_attains(factors, seed):
+def test_interval_matmul_encloses_and_contains_the_tightest(factors, seed):
     lo1, hi1, lo2, hi2 = factors
-    lo, hi = interval_matmul(lo1, hi1, lo2, hi2)
+    (mid1, rad1), (mid2, rad2) = mid_rad(lo1, hi1), mid_rad(lo2, hi2)
+    mid, rad = interval_matmul(mid1, rad1, mid2, rad2)
     # rounding scale of each entry: the sum of its terms' magnitudes
     mag = (np.maximum(np.abs(lo1), np.abs(hi1))
            @ np.maximum(np.abs(lo2), np.abs(hi2)))
@@ -39,36 +52,48 @@ def test_interval_matmul_encloses_and_attains(factors, seed):
     for _ in range(20):
         x = lo1 + rng.uniform(size=lo1.shape) * (hi1 - lo1)
         y = lo2 + rng.uniform(size=lo2.shape) * (hi2 - lo2)
-        assert np.all(x @ y >= lo - slack)
-        assert np.all(x @ y <= hi + slack)
+        assert np.all(np.abs(x @ y - mid) <= rad + slack)
 
-    # each bound is the product of one vertex pair: per term, the
-    # endpoint pair that minimises (or maximises) it
-    for i in range(lo.shape[0]):
-        for j in range(lo.shape[1]):
-            pairs = [[(a, b) for a in (lo1[i, p], hi1[i, p])
-                      for b in (lo2[p, j], hi2[p, j])]
-                     for p in range(lo1.shape[1])]
-            for bound, pick in ((lo, min), (hi, max)):
-                x, y = np.array([pick(t, key=lambda ab: ab[0] * ab[1])
-                                 for t in pairs]).T
-                np.testing.assert_allclose(x @ y, bound[i, j], rtol=1e-12,
-                                           atol=slack[i, j])
+    lo, hi = tightest_product(lo1, hi1, lo2, hi2)
+    assert np.all(mid - rad <= lo + slack)
+    assert np.all(mid + rad >= hi - slack)
+    assert np.all(rad <= 1.5 * (0.5 * hi - 0.5 * lo) + slack)
+
+    # with either factor a point matrix the product is the tightest
+    for point in ((mid1, 0 * rad1, mid2, rad2), (mid1, rad1, mid2, 0 * rad2)):
+        mid, rad = interval_matmul(*point)
+        lo, hi = tightest_product(point[0] - point[1], point[0] + point[1],
+                                  point[2] - point[3], point[2] + point[3])
+        assert np.all(np.abs(mid - rad - lo) <= slack)
+        assert np.all(np.abs(mid + rad - hi) <= slack)
 
 
 def test_interval_matmul_point_matrices_multiply():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(4, 4))
     b = rng.normal(size=(4, 4))
-    lo, hi = interval_matmul(a, a, b, b)
-    np.testing.assert_allclose(lo, a @ b, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(hi, a @ b, rtol=1e-13, atol=1e-13)
+    mid, rad = interval_matmul(a, np.zeros((4, 4)), b, np.zeros((4, 4)))
+    np.testing.assert_allclose(mid, a @ b, rtol=1e-13, atol=1e-13)
+    np.testing.assert_array_equal(rad, np.zeros((4, 4)))
 
 
 def test_interval_matmul_tightest_scalar():
-    lo, hi = interval_matmul(np.array([[1.0]]), np.array([[2.0]]),
-                             np.array([[-1.0]]), np.array([[1.0]]))
-    assert lo[0, 0] == -2.0 and hi[0, 0] == 2.0
+    # [1, 2] @ [-1, 1]: a factor centred at zero, where the
+    # midpoint-radius product is the tightest
+    mid, rad = interval_matmul(np.array([[1.5]]), np.array([[0.5]]),
+                               np.array([[0.0]]), np.array([[1.0]]))
+    assert mid[0, 0] - rad[0, 0] == -2.0 and mid[0, 0] + rad[0, 0] == 2.0
+
+
+def test_interval_matmul_overestimates_by_at_most_half():
+    # [1, 3] @ [1, 3] is [1, 9], radius 4; the product gives [-1, 9]
+    mid, rad = interval_matmul(np.array([[2.0]]), np.array([[1.0]]),
+                               np.array([[2.0]]), np.array([[1.0]]))
+    assert (mid[0, 0], rad[0, 0]) == (4.0, 5.0)
+    # [0, 2] @ [0, 2] is [0, 4], radius 2; the product attains the 1.5 bound
+    mid, rad = interval_matmul(np.array([[1.0]]), np.array([[1.0]]),
+                               np.array([[1.0]]), np.array([[1.0]]))
+    assert (mid[0, 0], rad[0, 0]) == (1.0, 3.0)
 
 
 def test_rk4_matches_matrix_exponential():

@@ -190,6 +190,30 @@ def test_accumulator_encloses_true_exponential():
 
 
 
+def test_accumulator_encloses_the_flow_over_random_steps():
+    # at a random dt and Taylor order per step, the enclosure holds
+    # exp(A t) after every step, up to the rounding of its midpoint, which
+    # no interval tracks: a few units in the last place of the entries of
+    # exp(|A| t), per step and per term of each product
+    rng = np.random.default_rng(23)
+    systems = [rng.uniform(-1.5, 1.5, size=(n, n)) for n in (2, 3, 4, 5, 6)]
+    systems.append(np.array([[0.8, 1.0], [0.0, 0.5]]))  # unstable
+    for a in systems:
+        n = a.shape[0]
+        acc = ExponentialAccumulator.identity(n)
+        t = 0.0
+        for step in range(1, 21):
+            dt = float(rng.uniform(0.01, 0.2))
+            series = TaylorSeries(a, dt)
+            eta = int(rng.integers(1, max_taylor_order(series, dt) + 1))
+            while convergence_ratio(series.powers, dt, eta) >= 1:
+                eta += 1
+            acc = acc.advanced(series.partial_sum(eta), series.remainder(eta))
+            t += dt
+            tol = 4 * step * n * np.finfo(float).eps * expm(np.abs(a) * t).max()
+            assert acc.enclosure.contains(expm(a * t), tol=tol), (n, step, eta)
+
+
 def test_advance_rejects_overflowing_enclosure():
     acc = ExponentialAccumulator(IntervalMatrix.from_point([[1e300]]))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from reachtune.intervals import IntervalMatrix
 from reachtune.modelio import random_system
 from reachtune.reach import LinearSystem, ReachSegment
 from reachtune.sampling import (TrajectoryBatch, _min_inf_norm, batch_contains,
                                 check_containment, sample_trajectories)
 from reachtune.tuner import run
-from reachtune.zonotope import Zonotope
+from reachtune.zonotope import Zonotope, interval_map
 
 
 def static_system():
@@ -91,6 +93,22 @@ def test_batch_contains_skewed_generators():
     x = g @ np.array([1.0, -1.0])
     assert batch_contains(z, x, 1e-9)[0]
     assert not batch_contains(z, [2.5, 0.0], 0.0)[0]
+
+
+def test_membership_on_badly_scaled_generators():
+    # a thin set whose second row is near 1e-9: the LP keeps its entries
+    m = IntervalMatrix([[0.0], [0.0]], [[1.0], [3.3772239580290567e-10]])
+    z = Zonotope([0.0], [[4.5e-230, 4.0, 1.0, 1.0]])
+    image = m.hi @ (z.center - z.generators.sum(axis=1))
+    thin = interval_map(m, z)
+    assert batch_contains(thin, image, tol=1e-9).all()
+    assert _min_inf_norm(thin.generators, image - thin.center, 1e-9) == pytest.approx(1.0)
+    # a generator column of norm below 1e-154 splits without dividing by 0
+    tiny = Zonotope([0.0, 0.0], [[1.0, 0.1, 1e-255], [1.0, -0.1, 2e-255]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside = batch_contains(tiny, [[0.9, -0.9], [1.05, 0.95]], tol=1e-9)
+    np.testing.assert_array_equal(inside, [False, True])
 
 
 def test_batch_contains_rejects_bad_input():

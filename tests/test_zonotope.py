@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from reachtune.intervals import IntervalMatrix
 from reachtune.sampling import batch_contains
@@ -310,3 +313,76 @@ def test_enclosure_radius_bounds_hausdorff_brute_force():
         dirs = unit_directions(n)
         gap = directional_hausdorff(total, base, dirs)
         assert gap <= enclosure_radius(extra) + 1e-9
+
+
+# -- properties of the set operations, dims 1-6 ---------------------------
+
+# multiples of 1/8 up to 10: sums and halvings of them are exact, and no
+# nonzero entry is small enough to strain the membership test's LP
+EIGHTHS = st.integers(-80, 80).map(lambda k: k / 8)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def zonotope_pairs(draw):
+    """Two zonotopes of one dimension, 1-6, with up to 6 generators each."""
+    dim = draw(st.integers(1, 6))
+
+    def one():
+        gamma = draw(st.integers(0, 6))
+        return Zonotope(draw(arrays(np.float64, dim, elements=EIGHTHS)),
+                        draw(arrays(np.float64, (dim, gamma), elements=EIGHTHS)))
+
+    return one(), one()
+
+
+def sample_points(rng, z, count=8):
+    """Vertices (every coefficient +-1), then interior points of ``z``."""
+    beta = rng.uniform(-1.0, 1.0, size=(count, z.num_generators))
+    beta[:count // 2] = np.where(beta[:count // 2] < 0, -1.0, 1.0)
+    return z.center + beta @ z.generators.T
+
+
+@settings(max_examples=100, deadline=None)
+@given(zonotope_pairs(), st.data(), SEEDS)
+def test_linear_map_contains_mapped_points(pair, data, seed):
+    z, _ = pair
+    rows = data.draw(st.integers(1, 6))
+    m = data.draw(arrays(np.float64, (rows, z.dim), elements=EIGHTHS))
+    x = sample_points(np.random.default_rng(seed), z)
+    assert batch_contains(linear_map(m, z), x @ m.T, tol=1e-9).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(zonotope_pairs(), SEEDS)
+def test_minkowski_sum_support_is_the_sum_of_supports(pair, seed):
+    z1, z2 = pair
+    total = minkowski_sum(z1, z2)
+    for d in np.random.default_rng(seed).normal(size=(8, z1.dim)):
+        assert support(total, d) == pytest.approx(support(z1, d) + support(z2, d),
+                                                  rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(zonotope_pairs(), SEEDS)
+def test_hull_of_contains_points_of_both_operands(pair, seed):
+    z1, z2 = pair
+    rng = np.random.default_rng(seed)
+    p1, p2 = sample_points(rng, z1), sample_points(rng, z2)
+    mix = rng.uniform(size=(p1.shape[0], 1))
+    points = np.vstack((p1, p2, mix * p1 + (1.0 - mix) * p2))
+    assert batch_contains(hull_of(z1, z2), points, tol=1e-9).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(zonotope_pairs(), SEEDS)
+def test_support_bounds_points_and_is_attained_at_the_sign_vertex(pair, seed):
+    z, _ = pair
+    rng = np.random.default_rng(seed)
+    x = sample_points(rng, z)
+    for d in rng.normal(size=(4, z.dim)):
+        h = support(z, d)
+        slack = 1e-12 * np.abs(d) @ (np.abs(z.center) + np.abs(z.generators).sum(axis=1))
+        assert np.all(x @ d <= h + slack)
+        vertex = z.center + z.generators @ np.sign(d @ z.generators)
+        assert abs(d @ vertex - h) <= slack
