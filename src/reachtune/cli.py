@@ -7,7 +7,8 @@ Subcommands: ``run`` (adaptive analysis), ``baseline`` (fixed parameters),
 an internal error. Input is checked where it enters, so only its own
 errors (``ModelError``, usage errors, a missing file) exit 3. Output paths
 are checked before any analysis: a path that is a directory, a path whose
-directory does not exist, or two outputs on one file, exits 3.
+directory does not exist, an output on an input file, or two outputs on
+one file, exits 3.
 
 ``reach run`` accepts ``--model`` several times; the output paths must then
 contain ``{}`` as a placeholder for the model stem. Every model and output
@@ -68,9 +69,11 @@ def _expand(template: str | None, stem: str, multi: bool) -> str | None:
     return template
 
 
-def _check_outputs(*paths: str | None) -> None:
-    """Reject each given path (``None`` is skipped) that is a directory or
-    whose directory does not exist, and any two that name one file."""
+def _check_outputs(*paths: str | None, inputs=()) -> None:
+    """Reject each given path (``None`` is skipped) that is a directory,
+    whose directory does not exist or that names one of the ``inputs``
+    files, and any two that name one file."""
+    read = {Path(path).resolve(): path for path in inputs if path is not None}
     seen = {}
     for path in paths:
         if path is None:
@@ -82,6 +85,8 @@ def _check_outputs(*paths: str | None) -> None:
             raise _UsageError(f"output path {path}: directory "
                               f"{target.parent} does not exist")
         key = target.resolve()
+        if key in read:
+            raise _UsageError(f"output path {path} names the input file {read[key]}")
         if key in seen:
             raise _UsageError(f"output paths {seen[key]} and {path} name the same file")
         seen[key] = path
@@ -113,7 +118,7 @@ def _cmd_run(args) -> int:
         stem = Path(path).stem
         jobs.append((path, system, specs, _expand(args.out, stem, multi),
                      _expand(args.report, stem, multi)))
-    _check_outputs(*(out for job in jobs for out in job[3:]))
+    _check_outputs(*(out for job in jobs for out in job[3:]), inputs=args.model)
 
     code = EXIT_OK
     for path, system, specs, out_path, report_path in jobs:
@@ -131,7 +136,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    _check_outputs(args.out, args.report)
+    _check_outputs(args.out, args.report, inputs=(args.model,))
     system, specs = load_model(args.model)
     result, report = run_fixed_baseline(system, args.dt, args.eta, args.rho,
                                         out_path=args.out,
@@ -172,7 +177,7 @@ def _cmd_sample(args) -> int:
         raise _UsageError(f"--count must be >= 1, got {args.count}")
     if args.step is not None and not 0 < args.step < float("inf"):
         raise _UsageError(f"--step must be positive and finite, got {args.step}")
-    _check_outputs(args.out)
+    _check_outputs(args.out, inputs=(args.model, args.result))
     system, _ = load_model(args.model)
     if args.step is not None:
         step = args.step

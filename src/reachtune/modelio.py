@@ -237,6 +237,9 @@ def read_result(path) -> list[ReachSegment]:
                 f"{path}:{lineno}")
             t_lo = _scalar(obj["t_lo"], f"{path}:{lineno}.t_lo")
             t_hi = _scalar(obj["t_hi"], f"{path}:{lineno}.t_hi")
+            _require(-math.inf < t_lo < t_hi < math.inf,
+                     f"{path}:{lineno}: window [{t_lo}, {t_hi}] must have "
+                     f"finite t_lo < t_hi")
             segments.append(ReachSegment(t_lo, t_hi, z))
     _require(bool(segments), f"{path}: result file is empty")
     return segments

@@ -224,17 +224,15 @@ def reduce_accumulated(p_accum: Zonotope, budget: ErrorBudget,
                        horizon: float) -> tuple[Zonotope, float]:
     """Lower the order of the accumulated input set within its budget share.
 
-    Reduces in rounds of one generator each: a round is ``reduce_order`` to
-    one generator fewer, so the n+1 lowest-scored generators collapse to
-    their box. A round is kept only while the cumulative certified error of
-    this step stays strictly below the admissible share. Reduction is
-    optional, so a zero budget disables it.
-
-    The rounds are replayed from one sort instead of re-scored each time.
-    Box columns score 0 and follow the original columns, so generators
-    leave in a fixed order: a queue of the zero-score originals by column,
-    then each round's box columns as they are made, and after it the
-    positive-score originals by score. The reduced set is built once.
+    Generators with at most one nonzero entry are axis-aligned: they go
+    into the box at no cost, since merging them is exact. The others are
+    ranked by ``||g||_1 - ||g||_inf`` (ties by column index), and the
+    longest ranked prefix is merged into the box whose certified error,
+    ``reduce_order``'s enclosure radius of the box of the removed
+    non-axis generators, stays strictly below the admissible share and
+    within the reduction budget. Reduction is optional, so a zero budget
+    disables it, and a cut that would not lower the generator count
+    leaves the set as it is.
     """
     n = p_accum.dim
     if p_accum.num_generators <= n or budget.reduction_max <= 0:
@@ -242,55 +240,26 @@ def reduce_accumulated(p_accum: Zonotope, budget: ErrorBudget,
     admissible = admissible_share(budget.reduction_max - ledger.reduction_acc,
                                   dt, t, horizon)
     g = p_accum.generators
-    score = np.abs(g).sum(axis=0) - np.abs(g).max(axis=0)
-    order = np.argsort(score, kind="stable")
-    zero_score = int(np.count_nonzero(score == 0.0))
-    # Queue position q < zero_score is column order[q] of g, and q >=
-    # zero_score is box column q - zero_score; ranked position r is column
-    # order[zero_score + r].
-    head = taken = 0  # queue and ranked items removed so far
-    box_axes: list[int] = []
-    box_values: list[float] = []
-
-    def columns(q_lo: int, q_hi: int, r_lo: int, r_hi: int) -> np.ndarray:
-        # originals by column index, then box columns as they were made
-        originals = np.sort(np.concatenate((
-            order[q_lo:min(q_hi, zero_score)],
-            order[zero_score + r_lo:zero_score + r_hi])))
-        b_lo = max(q_lo, zero_score) - zero_score
-        b_hi = max(q_hi, zero_score) - zero_score
-        box = np.zeros((n, b_hi - b_lo))
-        box[box_axes[b_lo:b_hi], range(b_hi - b_lo)] = box_values[b_lo:b_hi]
-        return np.hstack((g[:, originals], box))
-
-    left = g.shape[1]
-    total = 0.0
-    while left > n:
-        # the generator count reduce_order keeps at target (left - 1) / n
-        max_gens = int(np.floor(n * ((left - 1) / n) + 1e-12))
-        count = left - (max_gens - n)
-        from_queue = min(count, zero_score + len(box_axes) - head)
-        # Fortran order is the layout of reduce_order's g[:, idx], which
-        # fixes the summation order of the box and of the error
-        removed = np.asfortranarray(columns(head, head + from_queue,
-                                            taken, taken + count - from_queue))
-        box_half = np.abs(removed).sum(axis=1)
-        widening = removed[:, np.count_nonzero(removed, axis=0) > 1]
-        err = float(np.linalg.norm(np.abs(widening).sum(axis=1)))
-        if (total + err >= admissible
-                or ledger.reduction_acc + total + err > budget.reduction_max):
-            break
-        total += err
-        head += from_queue
-        taken += count - from_queue
-        axes = np.flatnonzero(box_half)
-        box_axes.extend(axes.tolist())
-        box_values.extend(box_half[axes].tolist())
-        left += len(axes) - count
-    if head == 0 and taken == 0:
+    axis = np.count_nonzero(g, axis=0) <= 1
+    others = np.flatnonzero(~axis)
+    mag = np.abs(g[:, others])
+    ranked = np.argsort(mag.sum(axis=0) - mag.max(axis=0), kind="stable")
+    # column k: box halfwidths of the first k + 1 ranked generators
+    widening = np.cumsum(mag[:, ranked], axis=1)
+    errs = np.linalg.norm(widening, axis=0)
+    cut = int(np.logical_and.accumulate(
+        (errs < admissible)
+        & (ledger.reduction_acc + errs <= budget.reduction_max)).sum())
+    err = float(errs[cut - 1]) if cut else 0.0
+    box_half = np.abs(g[:, axis]).sum(axis=1)
+    if cut:
+        box_half += widening[:, cut - 1]
+    box_axes = np.flatnonzero(box_half)
+    if np.count_nonzero(axis) + cut <= len(box_axes):
         return p_accum, 0.0
-    kept = columns(head, zero_score + len(box_axes), taken, len(order) - zero_score)
-    return Zonotope._trusted(p_accum.center, kept), total
+    box = np.diag(box_half)[:, box_axes]
+    kept = g[:, np.sort(others[ranked[cut:]])]
+    return Zonotope._trusted(p_accum.center, np.hstack((kept, box))), err
 
 
 def _step_through(sys: LinearSystem, choose, reduce,

@@ -309,6 +309,45 @@ def test_result_and_report_on_one_file_exit_three(tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().err.count("name the same file") == 4
 
 
+def test_outputs_on_input_files_exit_three(tmp_path, capsys, monkeypatch):
+    model = gen_model(tmp_path)
+    result = tmp_path / "r.jsonl"
+    assert main(["run", "--model", str(model), "--eps", "0.5",
+                 "--out", str(result)]) == 0
+    inputs = {path: path.read_bytes() for path in (model, result)}
+    calls = _forbid_analysis(monkeypatch)
+    monkeypatch.setattr(cli, "sample_trajectories",
+                        lambda *args, **kwargs: calls.append(args))
+    (tmp_path / "sub").mkdir()
+    for spelled in (str(model), str(tmp_path / "sub" / ".." / "model.json")):
+        for flag in ("--out", "--report"):
+            assert main(["run", "--model", str(model), "--eps", "0.5",
+                         flag, spelled]) == 3
+            assert main(["baseline", "--model", str(model), "--dt", "0.1",
+                         "--eta", "6", "--rho", "10", flag, spelled]) == 3
+        assert main(["sample", "--model", str(model), "--count", "1",
+                     "--seed", "1", "--out", spelled]) == 3
+    assert main(["sample", "--model", str(model), "--count", "1", "--seed", "1",
+                 "--result", str(result), "--out", str(result)]) == 3
+    assert calls == []
+    assert {path: path.read_bytes() for path in inputs} == inputs
+    assert capsys.readouterr().err.count("names the input file") == 11
+
+
+def test_bad_segment_windows_exit_three(tmp_path, capsys):
+    model = gen_model(tmp_path)
+    good = {"t_lo": 0.0, "t_hi": 1.0, "center": [0.0, 0.0]}
+    for t_lo, t_hi in ((1.0, 1.0), (2.0, 1.0), (1.0, float("inf"))):
+        result = tmp_path / "bad.jsonl"
+        result.write_text(json.dumps(good) + "\n" + json.dumps(
+            {"t_lo": t_lo, "t_hi": t_hi, "center": [0.0, 0.0]}) + "\n")
+        assert main(["sample", "--model", str(model), "--count", "1",
+                     "--seed", "1", "--out", str(tmp_path / "t.jsonl"),
+                     "--result", str(result)]) == 3
+        err = capsys.readouterr().err
+        assert f"{result}:2: window" in err and "internal error" not in err
+
+
 def test_models_with_one_stem_exit_three(tmp_path, capsys, monkeypatch):
     # two models named m.json in different directories expand {} alike
     for folder in ("a", "b"):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ def test_reduce_accumulated_respects_admissible_brute_force():
 
 
 # ---------------------------------------------------------------------------
-# The single-pass reduction against the per-round loop it replays.
+# The one-cut reduction, and the per-round loop it replaces as a reference.
 # ---------------------------------------------------------------------------
 
 def reduce_by_rounds(p_accum, budget, ledger, dt, t, horizon):
@@ -285,36 +286,6 @@ def reduce_by_rounds(p_accum, budget, ledger, dt, t, horizon):
         total += err
         rounds += 1
     return current, total, rounds
-
-
-def round_errors(p):
-    """Certified error of every round down to order 1, in round order."""
-    errors = []
-    while p.num_generators > p.dim:
-        p, err = reduce_order(p, (p.num_generators - 1) / p.dim)
-        errors.append(err)
-    return errors
-
-
-def budget_stopping_after(p, rounds):
-    # with dt = horizon - t the admissible share is the whole budget; a
-    # budget equal to the running total through round ``rounds + 1`` stops
-    # the loop there
-    total = 0.0
-    for err in round_errors(p)[:rounds + 1]:
-        total += err
-    return ErrorBudget(0.0, 0.0, total)
-
-
-def assert_same_reduction(p, budget, ledger, dt=1.0, t=0.0, horizon=1.0):
-    ref, ref_err, rounds = reduce_by_rounds(p, budget, ledger, dt, t, horizon)
-    out, err = reduce_accumulated(p, budget, ledger, dt, t, horizon)
-    assert (out is p) == (ref is p)
-    assert np.array_equal(out.center, ref.center)
-    assert out.generators.shape == ref.generators.shape
-    assert np.array_equal(out.generators, ref.generators)
-    assert err == ref_err
-    return rounds
 
 
 ENTRIES = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
@@ -346,9 +317,6 @@ def generator_columns(draw, n):
 
 @st.composite
 def accumulated_sets(draw):
-    # past 8 summands numpy's row sums depend on the memory layout, so
-    # dimensions up to 10 check that the box and error are summed as in
-    # reduce_order
     n = draw(st.integers(1, 10))
     cols = draw(st.lists(generator_columns(n), min_size=1, max_size=4 * n + 6))
     center = draw(st.lists(ENTRIES, min_size=n, max_size=n))
@@ -356,55 +324,62 @@ def accumulated_sets(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(p=accumulated_sets(),
-       stop=st.one_of(st.sampled_from(["none", "all"]), st.integers(0, 12),
-                      st.floats(1e-6, 10.0)),
-       dt=st.sampled_from([1.0, 0.5]),
-       spent=st.sampled_from([0.0, 0.25]))
-def test_reduce_accumulated_equals_per_round_loop(p, stop, dt, spent):
-    if stop == "none":
-        budget, spent = ErrorBudget(0.0, 0.0, 1.0), 1.0
-    elif stop == "all":
-        budget = ErrorBudget(0.0, 0.0, 1e12)
-    elif isinstance(stop, int):
-        budget = budget_stopping_after(p, stop)
-        budget = ErrorBudget(0.0, 0.0, budget.reduction_max + spent)
-    else:
-        budget = ErrorBudget(0.0, 0.0, stop)
+@given(p=accumulated_sets(), budget=st.floats(1e-6, 10.0),
+       spent=st.sampled_from([0.0, 0.25]), dt=st.sampled_from([1.0, 0.5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_reduce_accumulated_encloses_within_its_certified_error(p, budget, spent,
+                                                                dt, seed):
+    budget = ErrorBudget(0.0, 0.0, budget)
     ledger = ErrorLedger(reduction_acc=min(spent, budget.reduction_max))
-    assert_same_reduction(p, budget, ledger, dt=dt)
+    admissible = admissible_share(budget.reduction_max - ledger.reduction_acc,
+                                  dt, 0.0, 1.0)
+    out, err = reduce_accumulated(p, budget, ledger, dt, 0.0, 1.0)
+    assert err == 0.0 or err < admissible
+    assert ledger.reduction_acc + err <= budget.reduction_max
+    assert out.num_generators <= p.num_generators
+    assert np.array_equal(out.center, p.center)
+    # the certificate covers every non-axis generator the output lacks
+    kept = Counter(map(tuple, out.generators.T))
+    removed = np.zeros(p.dim)
+    for col in p.generators.T:
+        if np.count_nonzero(col) > 1:
+            if kept[tuple(col)]:
+                kept[tuple(col)] -= 1
+            else:
+                removed += np.abs(col)
+    assert err >= np.linalg.norm(removed) * (1.0 - 1e-12)
+    n = p.dim
+    dirs = np.random.default_rng(seed).normal(size=(8, n))
+    dirs = np.vstack((dirs / np.linalg.norm(dirs, axis=1)[:, None],
+                      np.eye(n), -np.eye(n)))
+    tol = 1e-12 * (1.0 + np.abs(p.center).sum() + np.abs(p.generators).sum())
+    for d in dirs:
+        gap = support(out, d) - support(p, d)
+        assert -tol <= gap <= err + tol
 
 
-def test_reduce_accumulated_equals_per_round_loop_on_dense_sets():
-    rng = np.random.default_rng(31)
-    for n in (2, 9, 12):
-        p = Zonotope(rng.uniform(-1, 1, n),
-                     rng.uniform(-1, 1, (n, 6 * n)) * 10.0 ** rng.integers(-6, 3, 6 * n))
-        for rounds in (1, 2, n, 3 * n):
-            assert_same_reduction(p, budget_stopping_after(p, rounds), ErrorLedger())
-        assert_same_reduction(p, ErrorBudget(0.0, 0.0, 1e12), ErrorLedger(), dt=0.5)
+@pytest.mark.parametrize("dim", [2, 10])
+def test_run_with_the_cut_matches_the_per_round_reduction(dim, monkeypatch):
+    def summary(result):
+        segs = result.segments
+        widths = [2.0 * np.abs(s.set.generators).sum() * (s.t_hi - s.t_lo)
+                  for s in segs]
+        return ([r.dt for r in result.ledger.records], sum(widths),
+                segs[-1].set.num_generators)
 
-
-def test_reduce_accumulated_stops_after_none_one_and_all_rounds():
-    # the first round removes the four zero-score columns, which span two
-    # of three axes, so its box has a zero halfwidth and the second round
-    # removes two non-axis generators at once; [1, 1e-17, 0] scores 0 but
-    # is not axis-aligned, so the first round still pays for it
-    g = np.array([[1.0, 0.0, 1.0, 0.5, 0.3, -0.2, 1.0, 2.0, 0.7],
-                  [0.0, 1.0, 1e-17, 0.0, 0.4, 0.9, 1.0, -1.0, 0.7],
-                  [0.0, 0.0, 0.0, 0.0, 0.5, 0.1, 1.0, 0.5, 0.7]])
-    p = Zonotope([0.5, -1.0, 2.0], g)
-    errors = round_errors(p)
-    assert errors[0] > 0.0 and errors[1] > 0.0
-    assert assert_same_reduction(p, ErrorBudget(0.0, 0.0, 1.0),
-                                 ErrorLedger(reduction_acc=1.0)) == 0
-    assert assert_same_reduction(p, budget_stopping_after(p, 1),
-                                 ErrorLedger()) == 1
-    assert assert_same_reduction(p, ErrorBudget(0.0, 0.0, 1e12),
-                                 ErrorLedger()) == len(errors)
-    out, _ = reduce_accumulated(p, ErrorBudget(0.0, 0.0, 1e12), ErrorLedger(),
-                                1.0, 0.0, 1.0)
-    assert out.num_generators <= p.dim
+    system = random_system(dim, 1)
+    cut = run(system, 0.05)
+    monkeypatch.setattr(tuner, "reduce_accumulated",
+                        lambda *args: reduce_by_rounds(*args)[:2])
+    rounds = run(system, 0.05)
+    cut_dts, cut_width, cut_gens = summary(cut)
+    ref_dts, ref_width, ref_gens = summary(rounds)
+    assert cut_dts == ref_dts
+    assert cut_width == pytest.approx(ref_width, rel=1e-9, abs=0.0)
+    assert cut_gens <= ref_gens
+    assert cut.ledger.reduction_acc <= cut.budget.reduction_max
+    assert cut.ledger.input_acc <= cut.budget.input_max
+    assert max(r.hom_error for r in cut.ledger.records) <= cut.budget.hom_max
 
 
 # ---------------------------------------------------------------------------
