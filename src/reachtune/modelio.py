@@ -18,13 +18,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from .reach import (LinearSystem, ReachSegment, StepSets, build_step_sets,
                     propagated_error)
-from .taylor import MatrixPowers, TaylorSeries, convergence_ratio
+from .taylor import MAX_ORDER_CAP, MatrixPowers, TaylorSeries, convergence_ratio
 from .tuner import DEFAULT_WEIGHTS, ReachResult, TunedStep, _step_through, run
 from .zonotope import Zonotope, interval_hull, reduce_order, support
 
@@ -130,8 +130,9 @@ def load_model(path) -> tuple[LinearSystem, list[SafetySpec]]:
     x0 = _zonotope_from_json(raw["X0"], "X0", n)
     u = _zonotope_from_json(raw["U"], "U", n)
     horizon = raw["T"]
-    _require(isinstance(horizon, (int, float)) and math.isfinite(horizon)
-             and horizon > 0, "field T must be a positive number")
+    _require(isinstance(horizon, (int, float)) and not isinstance(horizon, bool)
+             and math.isfinite(horizon) and horizon > 0,
+             "field T must be a positive number")
     specs = []
     for i, entry in enumerate(raw.get("specs", [])):
         _require(isinstance(entry, dict), f"specs[{i}] must be an object")
@@ -234,7 +235,7 @@ def read_result(path) -> list[ReachSegment]:
                 _require(name in obj, f"{path}:{lineno}: missing field {name}")
             z = _zonotope_from_json(
                 {"center": obj["center"], "generators": obj.get("generators", [])},
-                f"{path}:{lineno}")
+                f"{path}:{lineno}", segments[0].set.dim if segments else None)
             t_lo = _scalar(obj["t_lo"], f"{path}:{lineno}.t_lo")
             t_hi = _scalar(obj["t_hi"], f"{path}:{lineno}.t_hi")
             _require(-math.inf < t_lo < t_hi < math.inf,
@@ -260,18 +261,6 @@ class RunReport:
     max_step_hom_error: float
     budget: dict | None
     series: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension, "steps": self.steps,
-            "dt_min": self.dt_min, "dt_max": self.dt_max,
-            "wall_time": self.wall_time,
-            "tuning_time_fraction": self.tuning_time_fraction,
-            "input_error_total": self.input_error_total,
-            "reduction_error_total": self.reduction_error_total,
-            "max_step_hom_error": self.max_step_hom_error,
-            "budget": self.budget, "series": self.series,
-        }
 
 
 def report_from_result(result: ReachResult, dimension: int) -> RunReport:
@@ -303,7 +292,7 @@ def report_from_result(result: ReachResult, dimension: int) -> RunReport:
 
 def write_report(path, report: RunReport) -> None:
     with open(path, "w") as fh:
-        json.dump(report.to_json(), fh)
+        json.dump(asdict(report), fh)
         fh.write("\n")
 
 
@@ -384,6 +373,8 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
     """
     _require(dt > 0 and math.isfinite(dt), f"baseline dt must be positive, got {dt}")
     _require(eta >= 1, f"baseline eta must be >= 1, got {eta}")
+    _require(eta <= MAX_ORDER_CAP,
+             f"baseline eta must be <= {MAX_ORDER_CAP}, got {eta}")
     _require(rho >= 1, f"baseline rho must be >= 1, got {rho}")
     horizon = system.horizon
     powers = MatrixPowers(system.a)

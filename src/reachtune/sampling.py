@@ -125,16 +125,8 @@ def batch_contains(z: Zonotope, points: np.ndarray, tol: float) -> np.ndarray:
         out[idx] = np.all(np.abs(work_r) <= slack[None, :], axis=1)
         return out
 
-    # quick accept from the plain least-squares witness
-    beta = np.clip(work_r @ np.linalg.pinv(g).T, -(1.0 + tol), 1.0 + tol)
-    residual = beta @ g.T - work_r
-    excess = residual - np.clip(residual, -slack, slack)
-    feasible = np.max(np.abs(excess), axis=1) <= eq_tol
-    out[idx[feasible]] = True
-    if feasible.all():
-        return out
-    idx, work_r, beta = idx[~feasible], work_r[~feasible], beta[~feasible]
-
+    # the splitting starts from the plain least-squares coefficients
+    beta = work_r @ np.linalg.pinv(g).T
     # column-normalized generators keep the splitting well conditioned;
     # the scales move into per-coordinate bounds; dividing by each column's
     # largest entry first keeps its norm from underflowing or overflowing

@@ -22,7 +22,7 @@ from .reach import (ExponentialAccumulator, LinearSystem, ReachSegment,
                     propagated_error)
 from .taylor import (MatrixPowers, TaylorSeries, convergence_ratio,
                      max_taylor_order)
-from .zonotope import Zonotope
+from .zonotope import Zonotope, _cut_ranked_prefix
 
 DEFAULT_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 # factor by which the step search shrinks dt after a failed sweep of orders
@@ -222,44 +222,19 @@ def tune_step(sys: LinearSystem, acc: ExponentialAccumulator,
 def reduce_accumulated(p_accum: Zonotope, budget: ErrorBudget,
                        ledger: ErrorLedger, dt: float, t: float,
                        horizon: float) -> tuple[Zonotope, float]:
-    """Lower the order of the accumulated input set within its budget share.
-
-    Generators with at most one nonzero entry are axis-aligned: they go
-    into the box at no cost, since merging them is exact. The others are
-    ranked by ``||g||_1 - ||g||_inf`` (ties by column index), and the
-    longest ranked prefix is merged into the box whose certified error,
-    ``reduce_order``'s enclosure radius of the box of the removed
-    non-axis generators, stays strictly below the admissible share and
-    within the reduction budget. Reduction is optional, so a zero budget
-    disables it, and a cut that would not lower the generator count
-    leaves the set as it is.
-    """
-    n = p_accum.dim
-    if p_accum.num_generators <= n or budget.reduction_max <= 0:
+    """Lower the order of the accumulated input set within its budget share:
+    cut the longest prefix of ``_cut_ranked_prefix``'s ranking whose error is
+    below the admissible share and the budget; a zero budget disables it."""
+    if p_accum.num_generators <= p_accum.dim or budget.reduction_max <= 0:
         return p_accum, 0.0
     admissible = admissible_share(budget.reduction_max - ledger.reduction_acc,
                                   dt, t, horizon)
-    g = p_accum.generators
-    axis = np.count_nonzero(g, axis=0) <= 1
-    others = np.flatnonzero(~axis)
-    mag = np.abs(g[:, others])
-    ranked = np.argsort(mag.sum(axis=0) - mag.max(axis=0), kind="stable")
-    # column k: box halfwidths of the first k + 1 ranked generators
-    widening = np.cumsum(mag[:, ranked], axis=1)
-    errs = np.linalg.norm(widening, axis=0)
-    cut = int(np.logical_and.accumulate(
-        (errs < admissible)
-        & (ledger.reduction_acc + errs <= budget.reduction_max)).sum())
-    err = float(errs[cut - 1]) if cut else 0.0
-    box_half = np.abs(g[:, axis]).sum(axis=1)
-    if cut:
-        box_half += widening[:, cut - 1]
-    box_axes = np.flatnonzero(box_half)
-    if np.count_nonzero(axis) + cut <= len(box_axes):
-        return p_accum, 0.0
-    box = np.diag(box_half)[:, box_axes]
-    kept = g[:, np.sort(others[ranked[cut:]])]
-    return Zonotope._trusted(p_accum.center, np.hstack((kept, box))), err
+
+    def longest_within_budget(errs):
+        return int(np.logical_and.accumulate(
+            (errs < admissible)
+            & (ledger.reduction_acc + errs <= budget.reduction_max)).sum())
+    return _cut_ranked_prefix(p_accum, longest_within_budget)
 
 
 def _step_through(sys: LinearSystem, choose, reduce,

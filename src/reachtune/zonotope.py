@@ -184,31 +184,44 @@ def support(z: Zonotope, direction: np.ndarray) -> float:
     return float(direction @ z.center + np.abs(direction @ z.generators).sum())
 
 
-def reduce_order(z: Zonotope, target_order: float) -> tuple[Zonotope, float]:
-    """Cap the zonotope order, returning the superset and a certified error.
+def _cut_ranked_prefix(z: Zonotope, choose_cut) -> tuple[Zonotope, float]:
+    """Girard's box-merge order reduction, cut at a prefix of one ranking.
 
-    Generators with the smallest ``||g||_1 - ||g||_inf`` score (ties broken by
-    column index) are replaced by their box enclosure so that at most
-    ``floor(dim * target_order)`` generators remain. The certified error is
-    the enclosure radius of the box of the removed generators that are not
-    axis-aligned: absorbing axis-aligned generators into the box is exact,
-    so only the rest widens the set.
-    """
+    Axis-aligned generators (one nonzero entry) join the box exactly; the
+    others are ranked by ``||g||_1 - ||g||_inf``, ties by index. Merging the
+    first ``k`` costs ``errs[k - 1]``, the enclosure radius of their box, and
+    ``choose_cut(errs)`` picks ``k``. The kept generators, in index order,
+    precede the box's nonzero columns; a merge that would not lower the
+    generator count returns ``(z, 0.0)``."""
+    g = z.generators
+    axis = np.count_nonzero(g, axis=0) <= 1
+    others = np.flatnonzero(~axis)
+    mag = np.abs(g[:, others])
+    ranked = np.argsort(mag.sum(axis=0) - mag.max(axis=0), kind="stable")
+    # column k: box halfwidths of the first k + 1 ranked generators
+    widening = np.cumsum(mag[:, ranked], axis=1)
+    errs = np.linalg.norm(widening, axis=0)
+    cut = choose_cut(errs)
+    box_half = np.abs(g[:, axis]).sum(axis=1)
+    if cut:
+        box_half += widening[:, cut - 1]
+    box_axes = np.flatnonzero(box_half)
+    if np.count_nonzero(axis) + cut <= len(box_axes):
+        return z, 0.0
+    kept = g[:, np.sort(others[ranked[cut:]])]
+    box = np.diag(box_half)[:, box_axes]
+    return (Zonotope._trusted(z.center, np.hstack((kept, box))),
+            float(errs[cut - 1]) if cut else 0.0)
+
+
+def reduce_order(z: Zonotope, target_order: float) -> tuple[Zonotope, float]:
+    """Cap the order, returning the superset and its certified error: cut the
+    shortest prefix of ``_cut_ranked_prefix``'s ranking that leaves at most
+    ``floor(dim * target_order)`` generators."""
     if target_order < 1:
         raise ValueError(f"target order must be >= 1, got {target_order}")
     n = z.dim
     max_gens = int(np.floor(n * target_order + 1e-12))
-    gamma = z.num_generators
-    if gamma <= max_gens:
+    if z.num_generators <= max_gens:
         return z, 0.0
-    keep = max_gens - n
-    g = z.generators
-    score = np.abs(g).sum(axis=0) - np.abs(g).max(axis=0)
-    order_idx = np.argsort(score, kind="stable")
-    removed = g[:, np.sort(order_idx[:gamma - keep])]
-    kept = g[:, np.sort(order_idx[gamma - keep:])]
-    box_half = np.abs(removed).sum(axis=1)
-    reduced = Zonotope._trusted(
-        z.center, np.hstack((kept, _nonzero_columns(np.diag(box_half)))))
-    widening = removed[:, np.count_nonzero(removed, axis=0) > 1]
-    return reduced, float(np.linalg.norm(np.abs(widening).sum(axis=1)))
+    return _cut_ranked_prefix(z, lambda errs: max(0, len(errs) - (max_gens - n)))

@@ -334,6 +334,30 @@ def test_outputs_on_input_files_exit_three(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.count("names the input file") == 11
 
 
+def test_baseline_orders_above_the_cut_off_exit_three(tmp_path, capsys):
+    # above the adaptive run's cut-off of 100; at 170 the series' k! for
+    # k = eta + 1 no longer fits a float
+    model = gen_model(tmp_path)
+    for eta in ("101", "170"):
+        assert main(["baseline", "--model", str(model), "--dt", "0.5",
+                     "--eta", eta, "--rho", "10"]) == 3
+        err = capsys.readouterr().err
+        assert "eta must be <= 100" in err and "internal error" not in err
+    assert main(["baseline", "--model", str(model), "--dt", "0.5",
+                 "--eta", "100", "--rho", "10"]) == 0
+
+
+def test_result_lines_of_different_dimensions_exit_three(tmp_path, capsys):
+    model = gen_model(tmp_path)
+    result = tmp_path / "mixed.jsonl"
+    result.write_text("\n".join(json.dumps(
+        {"t_lo": t_lo, "t_hi": t_lo + 1.5, "center": center})
+        for t_lo, center in ((0.0, [0.0, 0.0]), (1.5, [0.0, 0.0, 0.0]))) + "\n")
+    assert main(["check", "--result", str(result), "--model", str(model)]) == 3
+    err = capsys.readouterr().err
+    assert f"{result}:2" in err and "internal error" not in err
+
+
 def test_bad_segment_windows_exit_three(tmp_path, capsys):
     model = gen_model(tmp_path)
     good = {"t_lo": 0.0, "t_hi": 1.0, "center": [0.0, 0.0]}

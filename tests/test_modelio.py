@@ -51,11 +51,13 @@ def test_load_model_rejects_bad_values(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ModelError, match="line 1"):
         load_model(path)
-    path.write_text(json.dumps({
-        "A": [[0.0]], "X0": {"center": [0.0]},
-        "U": {"center": [0.0]}, "T": -1.0}))
-    with pytest.raises(ModelError, match="T"):
-        load_model(path)
+    # a JSON true is a Python int, yet no horizon
+    for horizon in (-1.0, True):
+        path.write_text(json.dumps({
+            "A": [[0.0]], "X0": {"center": [0.0]},
+            "U": {"center": [0.0]}, "T": horizon}))
+        with pytest.raises(ModelError, match="T"):
+            load_model(path)
 
 
 def test_load_model_generators_are_columns(tmp_path):

@@ -12,6 +12,8 @@ from reachtune.zonotope import (Zonotope, enclosure_radius, hull_of,
                                 interval_hull, interval_map, linear_map,
                                 minkowski_sum, reduce_order, support)
 
+from strategies import accumulated_sets
+
 
 def random_zonotope(rng, n, gens, scale=1.0, contains_origin=False):
     g = rng.uniform(-scale, scale, size=(n, gens))
@@ -299,6 +301,39 @@ def test_reduce_certified_error_brute_force():
         dirs = unit_directions(n)
         gap = directional_hausdorff(reduced, z, dirs)
         assert gap <= err + 1e-9
+
+
+def test_reduce_merges_every_axis_column_once_it_cuts():
+    # four axis-aligned columns, of which a cap of four needs only three gone
+    z = Zonotope([0.0, 0.0], [[1.0, 0.0, 2.0, 0.0, 1.0],
+                              [0.0, 1.0, 0.0, 2.0, 1.0]])
+    reduced, err = reduce_order(z, 2.0)
+    np.testing.assert_array_equal(reduced.generators,
+                                  [[1.0, 3.0, 0.0], [1.0, 0.0, 3.0]])
+    assert err == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=accumulated_sets(), rho=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_reduce_caps_the_order_within_its_certified_error(z, rho, seed):
+    reduced, err = reduce_order(z, rho)
+    n = z.dim
+    assert reduced.num_generators <= math.floor(n * rho)
+    if reduced is not z:
+        # the box's columns, one per axis, come last; no other is axis-aligned
+        axis = np.count_nonzero(reduced.generators, axis=0) == 1
+        box = int(axis.sum())
+        assert axis[reduced.num_generators - box:].all()
+        assert len(set(np.flatnonzero(reduced.generators[:, axis].T)
+                       % n)) == box
+    dirs = np.random.default_rng(seed).normal(size=(8, n))
+    dirs = np.vstack((dirs / np.linalg.norm(dirs, axis=1)[:, None],
+                      np.eye(n), -np.eye(n)))
+    tol = 1e-12 * (1.0 + np.abs(z.center).sum() + np.abs(z.generators).sum())
+    for d in dirs:
+        gap = support(reduced, d) - support(z, d)
+        assert -tol <= gap <= err + tol
 
 
 def test_enclosure_radius_bounds_hausdorff_brute_force():
