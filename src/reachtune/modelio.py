@@ -23,8 +23,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from .reach import (LinearSystem, ReachSegment, StepSets, build_step_sets,
-                    propagated_error)
-from .taylor import MAX_ORDER_CAP, MatrixPowers, TaylorSeries, convergence_ratio
+                    homogeneous_error, propagated_error)
+from .taylor import MAX_ORDER_CAP, TaylorSeries, convergence_ratio
 from .tuner import DEFAULT_WEIGHTS, ReachResult, TunedStep, _step_through, run
 from .zonotope import Zonotope, interval_hull, reduce_order, support
 
@@ -66,9 +66,15 @@ def _require(condition: bool, message: str) -> None:
         raise ModelError(message)
 
 
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or (
+        isinstance(value, list) and any(map(_has_bool, value)))
+
+
 def _numeric(value, label: str) -> np.ndarray:
     """``value`` as a float array; a ModelError naming the field if it is
-    not numeric."""
+    not numeric or holds a JSON boolean, which numpy would read as 1 or 0."""
+    _require(not _has_bool(value), f"field {label} must be numeric, not a boolean")
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -90,7 +96,7 @@ def _zonotope_from_json(obj, label: str, dim: int | None = None) -> Zonotope:
     if dim is not None:
         _require(n == dim, f"field {label}.center has length {n}, expected {dim}")
     columns = obj.get("generators", [])
-    if columns:
+    if columns != []:
         gens = _numeric(columns, f"{label}.generators")
         _require(gens.ndim == 2 and gens.shape[1] == n,
                  f"field {label}.generators must be a list of length-{n} columns")
@@ -133,8 +139,10 @@ def load_model(path) -> tuple[LinearSystem, list[SafetySpec]]:
     _require(isinstance(horizon, (int, float)) and not isinstance(horizon, bool)
              and math.isfinite(horizon) and horizon > 0,
              "field T must be a positive number")
+    entries = raw.get("specs", [])
+    _require(isinstance(entries, list), "field specs must be a list")
     specs = []
-    for i, entry in enumerate(raw.get("specs", [])):
+    for i, entry in enumerate(entries):
         _require(isinstance(entry, dict), f"specs[{i}] must be an object")
         for name in ("direction", "bound"):
             _require(name in entry, f"missing field specs[{i}].{name}")
@@ -231,11 +239,10 @@ def read_result(path) -> list[ReachSegment]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ModelError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            for name in ("t_lo", "t_hi", "center"):
+            z = _zonotope_from_json(obj, f"{path}:{lineno}",
+                                    segments[0].set.dim if segments else None)
+            for name in ("t_lo", "t_hi"):
                 _require(name in obj, f"{path}:{lineno}: missing field {name}")
-            z = _zonotope_from_json(
-                {"center": obj["center"], "generators": obj.get("generators", [])},
-                f"{path}:{lineno}", segments[0].set.dim if segments else None)
             t_lo = _scalar(obj["t_lo"], f"{path}:{lineno}.t_lo")
             t_hi = _scalar(obj["t_hi"], f"{path}:{lineno}.t_hi")
             _require(-math.inf < t_lo < t_hi < math.inf,
@@ -377,7 +384,6 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
              f"baseline eta must be <= {MAX_ORDER_CAP}, got {eta}")
     _require(rho >= 1, f"baseline rho must be >= 1, got {rho}")
     horizon = system.horizon
-    powers = MatrixPowers(system.a)
     sets_cache: dict[float, StepSets] = {}
 
     def choose(t, acc, ledger, dt_prev):
@@ -386,13 +392,14 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
             width = horizon - t
         sets = sets_cache.get(width)
         if sets is None:
-            _require(convergence_ratio(powers, width, eta) < 1.0,
+            _require(convergence_ratio(system.a, width, eta) < 1.0,
                      f"Taylor remainder does not converge at dt={width:.3g}, "
                      f"eta={eta}: raise eta or lower dt")
-            series = TaylorSeries(powers, width)
-            _require(series.is_finite(eta),
+            pieces = TaylorSeries(system.a, width).pieces(eta)
+            _require(pieces is not None,
                      f"Taylor terms overflow at dt={width:.3g}, eta={eta}")
-            sets = build_step_sets(system, series, eta)
+            sets = build_step_sets(system, pieces,
+                                   homogeneous_error(system, pieces))
             sets_cache[width] = sets
         step = TunedStep(width, eta, sets,
                          hom_error=propagated_error(acc, sets.hom_error),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intervals import IntervalMatrix
-from .taylor import TaylorSeries
+from .taylor import TaylorPieces
 from .zonotope import (Zonotope, enclosure_radius, hull_of, interval_map,
                        linear_map, minkowski_sum)
 
@@ -56,7 +56,7 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class StepSets:
-    """Local reachable-set pieces for one candidate ``(dt, eta)``.
+    """Local reachable-set pieces for one candidate step.
 
     ``hom_exact`` carries the step's constant-input drift inside the hull;
     ``inh_exact`` is the full local input solution used for accumulation
@@ -65,8 +65,6 @@ class StepSets:
     makes their enclosure radii sound Hausdorff bounds.
     """
 
-    dt: float
-    eta: int
     hom_exact: Zonotope
     hom_error: Zonotope
     inh_exact: Zonotope
@@ -115,14 +113,13 @@ class ExponentialAccumulator:
         return max(float(s[-1] - slack), 0.0)
 
 
-def homogeneous_error(sys: LinearSystem, series: TaylorSeries,
-                      eta: int) -> Zonotope:
+def homogeneous_error(sys: LinearSystem, pieces: TaylorPieces) -> Zonotope:
     """Error part of the step-window solution without the time-varying input:
     curvature enclosure applied to the initial set plus the input correction
     applied to the input-set center."""
     return minkowski_sum(
-        interval_map(series.curvature(eta), sys.initial_set),
-        interval_map(series.correction(eta), Zonotope.point(sys.input_set.center)))
+        interval_map(pieces.curvature, sys.initial_set),
+        interval_map(pieces.correction, Zonotope.point(sys.input_set.center)))
 
 
 def homogeneous_error_floor(sys: LinearSystem) -> float:
@@ -151,48 +148,32 @@ def homogeneous_error_floor(sys: LinearSystem) -> float:
     return float(v.max())
 
 
-def homogeneous_step(sys: LinearSystem, series: TaylorSeries,
-                     eta: int) -> tuple[Zonotope, Zonotope]:
-    """Exact part and error part of the step-window solution without the
-    time-varying input, at the series' step size.
+def build_step_sets(sys: LinearSystem, pieces: TaylorPieces,
+                    hom_error: Zonotope) -> StepSets:
+    """All local pieces for one candidate step, around its homogeneous error
+    ``homogeneous_error(sys, pieces)``.
 
-    Exact: hull of the initial set and its endpoint image, which is the
-    Taylor propagator applied to the initial set shifted by the constant
-    drift of the input-set center. Keeping the drift endpoint inside the
-    hull is what covers intermediate times when the input set is not
-    centered at the origin; its interpolation defect is exactly what the
-    input-correction term bounds.
-    Error: see ``homogeneous_error``.
+    Step window without the time-varying input: the exact part is the hull
+    of the initial set and its endpoint image, which is the Taylor
+    propagator applied to the initial set shifted by the constant drift of
+    the input-set center. Keeping the drift endpoint inside the hull is
+    what covers intermediate times when the input set is not centered at
+    the origin; its interpolation defect is exactly what the
+    input-correction term of ``hom_error`` bounds.
+
+    Local input solution over ``[0, dt]``: the exact part is
+    ``(sum_{k=0}^{eta} A^k dt^(k+1) / (k+1)!) U``, the error part
+    ``(remainder * dt) U``.
     """
-    w = series.partial_sum(eta)
-    drift = series.input_propagator(eta) @ sys.input_set.center
+    w = pieces.partial_sum
+    drift = pieces.input_propagator @ sys.input_set.center
     endpoint = Zonotope(w @ sys.initial_set.center + drift,
                         w @ sys.initial_set.generators)
-    exact = hull_of(sys.initial_set, endpoint)
-    return exact, homogeneous_error(sys, series, eta)
-
-
-def inhomogeneous_step(sys: LinearSystem, series: TaylorSeries,
-                       eta: int) -> tuple[Zonotope, Zonotope]:
-    """Exact part and error part of the local input solution over ``[0, dt]``.
-
-    Exact: ``(sum_{k=0}^{eta} A^k dt^(k+1) / (k+1)!) U``.
-    Error: ``(remainder * dt) U``.
-    """
-    exact = linear_map(series.input_propagator(eta), sys.input_set)
-    error = interval_map(series.remainder(eta).scale(series.dt), sys.input_set)
-    return exact, error
-
-
-def build_step_sets(sys: LinearSystem, series: TaylorSeries, eta: int) -> StepSets:
-    """All local pieces for one candidate step at the series' step size."""
-    hom_exact, hom_error = homogeneous_step(sys, series, eta)
-    inh_exact, inh_error = inhomogeneous_step(sys, series, eta)
-    return StepSets(dt=series.dt, eta=eta,
-                    hom_exact=hom_exact, hom_error=hom_error,
-                    inh_exact=inh_exact, inh_error=inh_error,
-                    propagator=series.partial_sum(eta),
-                    remainder=series.remainder(eta))
+    return StepSets(
+        hom_exact=hull_of(sys.initial_set, endpoint), hom_error=hom_error,
+        inh_exact=linear_map(pieces.input_propagator, sys.input_set),
+        inh_error=interval_map(pieces.remainder.scale(pieces.dt), sys.input_set),
+        propagator=w, remainder=pieces.remainder)
 
 
 def propagate_step(acc: ExponentialAccumulator, sets: StepSets,

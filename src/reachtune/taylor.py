@@ -15,6 +15,7 @@ the reference the series is tested against, bit for bit.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +71,7 @@ def _check_step(dt: float, eta: int) -> None:
 
 def _dt_power(dt: float, k: int, over_factorial: bool = True) -> float:
     """``dt^k / k!``, or ``dt^k`` alone; ``inf`` where it leaves the float
-    range, so that the terms built on it fail ``is_finite``."""
+    range, so that ``TaylorSeries.pieces`` rejects the terms built on it."""
     try:
         if not over_factorial:
             return dt ** k
@@ -175,6 +176,20 @@ def input_correction(a, dt: float, eta: int) -> IntervalMatrix:
                                   total[1] + _remainder_halfwidth(powers, dt, eta) * dt)
 
 
+@dataclass(frozen=True)
+class TaylorPieces:
+    """Every Taylor piece of ``exp(A dt)`` at one step size and order, all
+    finite: the point sums and the three interval enclosures."""
+
+    dt: float
+    eta: int
+    partial_sum: np.ndarray
+    input_propagator: np.ndarray
+    remainder: IntervalMatrix
+    curvature: IntervalMatrix
+    correction: IntervalMatrix
+
+
 class TaylorSeries:
     """Every Taylor piece of ``exp(A dt)`` at one step size, for any order.
 
@@ -182,14 +197,8 @@ class TaylorSeries:
     and correction terms are running sums, grown term by term on demand
     up to the highest order asked for, like ``MatrixPowers``; each
     interval sum is one stacked ``(mid, rad)`` array. The remainder depends
-    on the order, so it is added last. The per-order functions of the
-    same names sum the same terms in the same order, so each piece equals
-    theirs bit for bit; they are the reference the series is tested
-    against.
-
-    At high orders the powers of a stiff matrix overflow; ``is_finite``
-    says whether the pieces of an order can be used. Confined to one
-    analysis run; not safe for concurrent mutation.
+    on the order, so it is added last. Confined to one analysis run; not
+    safe for concurrent mutation.
     """
 
     def __init__(self, a, dt: float):
@@ -204,9 +213,6 @@ class TaylorSeries:
         self._propagator = [np.zeros((n, n))]
         self._curvature = [no_terms, no_terms]
         self._correction = [no_terms, no_terms]
-        # curvature and correction of the last order is_finite passed
-        self._finite_eta: int | None = None
-        self._finite_pieces: tuple[IntervalMatrix, IntervalMatrix] | None = None
 
     def _grow(self, sums: list, k: int, term, shift: int) -> np.ndarray:
         """``sums[k]``, first appending ``term`` of ``A^(j - shift)`` for
@@ -225,55 +231,26 @@ class TaylorSeries:
         _check_step(self.dt, eta)
         return self._grow(self._propagator, eta + 1, _point_term, 1)
 
-    def remainder(self, eta: int) -> IntervalMatrix:
-        """As ``truncation_remainder``."""
-        return IntervalMatrix.symmetric(_remainder_halfwidth(self.powers, self.dt, eta))
-
-    def curvature(self, eta: int) -> IntervalMatrix:
-        """As ``curvature_enclosure``."""
-        if eta == self._finite_eta:
-            return self._finite_pieces[0]
-        half = _remainder_halfwidth(self.powers, self.dt, eta)
-        return IntervalMatrix._finite(*self._curvature_bounds(eta, half))
-
-    def correction(self, eta: int) -> IntervalMatrix:
-        """As ``input_correction``."""
-        if eta == self._finite_eta:
-            return self._finite_pieces[1]
-        half = _remainder_halfwidth(self.powers, self.dt, eta)
-        return IntervalMatrix._finite(*self._correction_bounds(eta, half))
-
-    def is_finite(self, eta: int) -> bool:
-        """Whether every piece at order ``eta`` is finite.
-
-        The curvature and correction of the last order that passes are
-        kept, so asking for them at that order computes nothing again.
-        Raises NotConvergentError where the remainder does.
-        """
-        if eta == self._finite_eta:
-            return True
+    def pieces(self, eta: int) -> TaylorPieces | None:
+        """Every piece at order ``eta``, each equal to its per-order
+        function's; ``None`` when the remainder does not converge or a
+        piece overflows, as the powers of a stiff matrix do at high
+        orders."""
         with np.errstate(over="ignore", invalid="ignore"):
-            half = _remainder_halfwidth(self.powers, self.dt, eta)
-            curvature = self._curvature_bounds(eta, half)
-            correction = self._correction_bounds(eta, half)
-            pieces = (self.partial_sum(eta), self.input_propagator(eta), half,
-                      *curvature, *correction)
-        if not all(np.isfinite(p).all() for p in pieces):
-            return False
-        self._finite_eta = eta
-        self._finite_pieces = (IntervalMatrix._trusted(*curvature),
-                               IntervalMatrix._trusted(*correction))
-        return True
-
-    def _curvature_bounds(self, eta: int,
-                          half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mid, rad = self._grow(self._curvature, eta, _mixed_term, 0)
-        return mid, rad + half
-
-    def _correction_bounds(self, eta: int,
-                           half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mid, rad = self._grow(self._correction, eta + 1, _mixed_term, 1)
-        return mid, rad + half * self.dt
+            try:
+                half = _remainder_halfwidth(self.powers, self.dt, eta)
+            except NotConvergentError:
+                return None
+            curv_mid, curv_rad = self._grow(self._curvature, eta, _mixed_term, 0)
+            corr_mid, corr_rad = self._grow(self._correction, eta + 1, _mixed_term, 1)
+            pieces = TaylorPieces(
+                self.dt, eta, self.partial_sum(eta), self.input_propagator(eta),
+                remainder=IntervalMatrix._trusted(np.zeros_like(half), half),
+                curvature=IntervalMatrix._trusted(curv_mid, curv_rad + half),
+                correction=IntervalMatrix._trusted(corr_mid, corr_rad + half * self.dt))
+        arrays = (pieces.partial_sum, pieces.input_propagator, half, curv_mid,
+                  pieces.curvature.rad, corr_mid, pieces.correction.rad)
+        return pieces if all(np.isfinite(x).all() for x in arrays) else None
 
 
 MAX_ORDER_CAP = 100

@@ -20,8 +20,7 @@ from .reach import (ExponentialAccumulator, LinearSystem, ReachSegment,
                     StepSets, build_step_sets, homogeneous_error,
                     homogeneous_error_floor, minkowski_sum, propagate_step,
                     propagated_error)
-from .taylor import (MatrixPowers, TaylorSeries, convergence_ratio,
-                     max_taylor_order)
+from .taylor import MatrixPowers, TaylorSeries, max_taylor_order
 from .zonotope import Zonotope, _cut_ranked_prefix
 
 DEFAULT_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -162,23 +161,23 @@ def _try_orders(workspace: _Workspace, acc: ExponentialAccumulator,
     """Sweep eta upward at fixed dt; return the first passing candidate.
 
     A candidate whose remainder does not converge, or whose Taylor pieces
-    overflow, is rejected without building anything. The homogeneous error
+    overflow, is rejected without building any set. The homogeneous error
     is tested first, so the input sets are built only for candidates that
-    pass the homogeneous cap.
+    pass the homogeneous cap, around the error set that cap measured.
     """
     sys = workspace.sys
     series = workspace.build(TaylorSeries, workspace.powers, dt)
     retries = 0
     for eta in range(1, workspace.order_cap(series) + 1):
         retries += 1
-        if (convergence_ratio(workspace.powers, dt, eta) >= 1.0
-                or not workspace.build(series.is_finite, eta)):
+        pieces = workspace.build(series.pieces, eta)
+        if pieces is None:
             continue
-        hom_err = propagated_error(
-            acc, workspace.build(homogeneous_error, sys, series, eta))
+        hom_set = workspace.build(homogeneous_error, sys, pieces)
+        hom_err = propagated_error(acc, hom_set)
         if not hom_err <= budget.hom_max:
             continue
-        sets = workspace.build(build_step_sets, sys, series, eta)
+        sets = workspace.build(build_step_sets, sys, pieces, hom_set)
         input_err = propagated_error(acc, sets.inh_error)
         if (input_err <= admissible
                 and ledger.input_acc + input_err <= budget.input_max):

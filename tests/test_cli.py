@@ -426,3 +426,54 @@ def test_run_prints_each_model_as_it_finishes(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert [line.split(":")[0] for line in captured.out.splitlines()] == [str(m1)]
     assert "internal error: second model failed" in captured.err
+
+
+def test_json_booleans_exit_three(tmp_path, capsys):
+    # numpy reads JSON true and false as 1.0 and 0.0; the file boundary
+    # rejects them in every numeric field, naming the field
+    model = gen_model(tmp_path)
+    raw = json.loads(model.read_text())
+    raw["specs"] = [{"name": "s", "direction": [1.0, 0.0], "bound": 100.0}]
+    edits = [
+        ("A", lambda m: m.update(A=[[True, False], [False, True]])),
+        ("X0.center", lambda m: m["X0"].update(center=[1.0, True])),
+        ("X0.generators", lambda m: m["X0"]["generators"][0].__setitem__(0, False)),
+        ("specs[0].direction", lambda m: m["specs"][0].update(direction=[True, 0.0])),
+        ("specs[0].bound", lambda m: m["specs"][0].update(bound=True)),
+    ]
+    bad = tmp_path / "bool.json"
+    for label, edit in edits:
+        edited = json.loads(json.dumps(raw))
+        edit(edited)
+        bad.write_text(json.dumps(edited))
+        assert main(["run", "--model", str(bad), "--eps", "0.5"]) == 3, label
+        err = capsys.readouterr().err
+        assert f"field {label} must be numeric" in err and "internal error" not in err
+    result = tmp_path / "bool.jsonl"
+    for name in ("t_lo", "t_hi"):
+        line = {"t_lo": 0.0, "t_hi": 3.0, "center": [0.0, 0.0]}
+        line[name] = bool(line[name])
+        result.write_text(json.dumps(line) + "\n")
+        assert main(["check", "--result", str(result), "--model", str(model)]) == 3
+        err = capsys.readouterr().err
+        assert f"field {result}:1.{name} must be numeric" in err
+
+
+def test_json_of_the_wrong_shape_exits_three(tmp_path, capsys):
+    model = gen_model(tmp_path)
+    raw = json.loads(model.read_text())
+    raw["specs"] = 5
+    bad = tmp_path / "specs.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["run", "--model", str(bad), "--eps", "0.5"]) == 3
+    err = capsys.readouterr().err
+    assert "field specs must be a list" in err and "internal error" not in err
+    result = tmp_path / "r.jsonl"
+    result.write_text(json.dumps(
+        {"t_lo": 0.0, "t_hi": 3.0, "center": [0.0, 0.0]}) + "\n5\n")
+    assert main(["check", "--result", str(result), "--model", str(model)]) == 3
+    assert main(["sample", "--model", str(model), "--count", "1", "--seed", "1",
+                 "--out", str(tmp_path / "t.jsonl"), "--result", str(result)]) == 3
+    errs = capsys.readouterr().err.splitlines()
+    assert len(errs) == 2
+    assert all(f"{result}:2 must be an object" in err for err in errs)

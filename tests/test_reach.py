@@ -9,8 +9,7 @@ from scipy.linalg import expm
 from reachtune.intervals import IntervalMatrix
 from reachtune.reach import (ExponentialAccumulator, LinearSystem,
                              build_step_sets, homogeneous_error,
-                             homogeneous_error_floor, homogeneous_step,
-                             inhomogeneous_step, propagate_step,
+                             homogeneous_error_floor, propagate_step,
                              propagated_error)
 from reachtune.taylor import (MatrixPowers, TaylorSeries, convergence_ratio,
                               max_taylor_order, taylor_partial_sum,
@@ -30,6 +29,12 @@ def scalar_system(a=-1.0, x0=(1.0, 0.1), u=(0.0, 0.05), horizon=1.0):
                         horizon)
 
 
+def step_sets(sys, dt, eta):
+    """``build_step_sets`` at ``(dt, eta)``, around its homogeneous error."""
+    pieces = TaylorSeries(sys.a, dt).pieces(eta)
+    return build_step_sets(sys, pieces, homogeneous_error(sys, pieces))
+
+
 def test_linear_system_validation():
     with pytest.raises(ValueError):
         LinearSystem(np.ones((2, 3)), unit_box(2), unit_box(2), 1.0)
@@ -46,7 +51,8 @@ def test_linear_system_validation():
 def test_homogeneous_step_static_dynamics():
     sys = LinearSystem(np.zeros((2, 2)), unit_box(2, 5.0),
                        Zonotope.point([0.0, 0.0]), 1.0)
-    exact, error = homogeneous_step(sys, TaylorSeries(sys.a, 0.5), 3)
+    sets = step_sets(sys, 0.5, 3)
+    exact, error = sets.hom_exact, sets.hom_error
     np.testing.assert_array_equal(exact.center, sys.initial_set.center)
     np.testing.assert_array_equal(exact.generators, sys.initial_set.generators)
     assert error.num_generators == 0
@@ -56,7 +62,8 @@ def test_homogeneous_step_static_dynamics():
 def test_homogeneous_step_scalar_decay():
     sys = scalar_system()
     dt, eta = 0.1, 6
-    exact, error = homogeneous_step(sys, TaylorSeries(sys.a, dt), eta)
+    sets = step_sets(sys, dt, eta)
+    exact, error = sets.hom_exact, sets.hom_error
     w = taylor_partial_sum(sys.a, dt, eta)[0, 0]
     assert w == pytest.approx(math.exp(-dt), abs=1e-9)
     hull = interval_hull(exact)
@@ -71,8 +78,7 @@ def test_homogeneous_error_shrinks_with_dt():
     errors = []
     dt = 0.2
     for _ in range(6):
-        _, error = homogeneous_step(sys, TaylorSeries(sys.a, dt), 4)
-        errors.append(enclosure_radius(error))
+        errors.append(enclosure_radius(step_sets(sys, dt, 4).hom_error))
         dt *= 0.5
     assert all(b < a for a, b in zip(errors, errors[1:]))
 
@@ -103,16 +109,17 @@ def test_homogeneous_error_floor_bounds_every_order(n, log_scale, seed,
     for dt in (10.0 ** x for x in log_dts):
         series = TaylorSeries(powers, dt)
         for eta in range(1, max_taylor_order(series, dt) + 1):
-            if (convergence_ratio(powers, dt, eta) >= 1.0
-                    or not series.is_finite(eta)):
+            pieces = series.pieces(eta)
+            if pieces is None:
                 continue
-            error = propagated_error(acc, homogeneous_error(sys, series, eta))
+            error = propagated_error(acc, homogeneous_error(sys, pieces))
             assert rate * dt * dt <= error
 
 
 def test_inhomogeneous_step_no_input():
     sys = scalar_system(u=(0.0, 0.0))
-    exact, error = inhomogeneous_step(sys, TaylorSeries(sys.a, 0.25), 3)
+    sets = step_sets(sys, 0.25, 3)
+    exact, error = sets.inh_exact, sets.inh_error
     assert exact.num_generators == 0 and error.num_generators == 0
     np.testing.assert_array_equal(exact.center, [0.0])
     np.testing.assert_array_equal(error.center, [0.0])
@@ -121,7 +128,8 @@ def test_inhomogeneous_step_no_input():
 def test_inhomogeneous_step_pure_integrator():
     sys = LinearSystem(np.zeros((2, 2)), Zonotope.point([0.0, 0.0]),
                        unit_box(2), 1.0)
-    exact, error = inhomogeneous_step(sys, TaylorSeries(sys.a, 0.5), 2)
+    sets = step_sets(sys, 0.5, 2)
+    exact, error = sets.inh_exact, sets.inh_error
     hull = interval_hull(exact)
     np.testing.assert_allclose(hull.lo, [-0.5, -0.5])
     np.testing.assert_allclose(hull.hi, [0.5, 0.5])
@@ -130,7 +138,8 @@ def test_inhomogeneous_step_pure_integrator():
 
 def test_inhomogeneous_step_scalar_radii():
     sys = scalar_system(a=1.0, x0=(0.0, 0.0), u=(0.0, 1.0))
-    exact, error = inhomogeneous_step(sys, TaylorSeries(sys.a, 0.1), 2)
+    sets = step_sets(sys, 0.1, 2)
+    exact, error = sets.inh_exact, sets.inh_error
     expected = 0.1 + 0.01 / 2 + 0.001 / 6
     assert interval_hull(exact).hi[0] == pytest.approx(expected, rel=1e-12)
     rem = truncation_remainder(sys.a, 0.1, 2)
@@ -208,7 +217,8 @@ def test_accumulator_encloses_the_flow_over_random_steps():
             eta = int(rng.integers(1, max_taylor_order(series, dt) + 1))
             while convergence_ratio(series.powers, dt, eta) >= 1:
                 eta += 1
-            acc = acc.advanced(series.partial_sum(eta), series.remainder(eta))
+            pieces = series.pieces(eta)
+            acc = acc.advanced(pieces.partial_sum, pieces.remainder)
             t += dt
             tol = 4 * step * n * np.finfo(float).eps * expm(np.abs(a) * t).max()
             assert acc.enclosure.contains(expm(a * t), tol=tol), (n, step, eta)
@@ -222,7 +232,7 @@ def test_advance_rejects_overflowing_enclosure():
 
 def test_propagate_step_first_step_is_local():
     sys = scalar_system()
-    sets = build_step_sets(sys, TaylorSeries(sys.a, 0.1), 5)
+    sets = step_sets(sys, 0.1, 5)
     acc = ExponentialAccumulator.identity(1)
     window, p = propagate_step(acc, sets, Zonotope.point([0.0]))
     local = interval_hull(sets.hom_exact + sets.hom_error
@@ -242,7 +252,7 @@ def test_constant_drift_covered_within_step():
     sys = LinearSystem(a, Zonotope.point([10.0, 10.0]),
                        Zonotope.point(c_u), 1.0)
     dt = 0.3
-    sets = build_step_sets(sys, TaylorSeries(sys.a, dt), 8)
+    sets = step_sets(sys, dt, 8)
     acc = ExponentialAccumulator.identity(2)
     window, _ = propagate_step(acc, sets, Zonotope.point([0.0, 0.0]))
     from scipy.integrate import solve_ivp
@@ -257,7 +267,7 @@ def test_drift_endpoint_in_hull_inherits_correction_scale():
     # input solution applied to the input center
     sys = scalar_system(a=-1.0, u=(0.5, 0.0))
     dt, eta = 0.2, 6
-    exact, _ = homogeneous_step(sys, TaylorSeries(sys.a, dt), eta)
+    exact = step_sets(sys, dt, eta).hom_exact
     w = taylor_partial_sum(sys.a, dt, eta)[0, 0]
     drift = sum((-1.0) ** k * dt ** (k + 1) / math.factorial(k + 1)
                 for k in range(eta + 1)) * 0.5
@@ -269,7 +279,7 @@ def test_drift_endpoint_in_hull_inherits_correction_scale():
 def test_propagate_accumulates_pure_integrator():
     sys = LinearSystem(np.zeros((2, 2)), Zonotope.point([0.0, 0.0]),
                        unit_box(2), 1.0)
-    sets = build_step_sets(sys, TaylorSeries(sys.a, 0.5), 2)
+    sets = step_sets(sys, 0.5, 2)
     acc = ExponentialAccumulator.identity(2)
     p = Zonotope.point([0.0, 0.0])
     for _ in range(2):
@@ -284,11 +294,11 @@ def test_step_errors_zero_cases():
     acc = ExponentialAccumulator.identity(2)
     static = LinearSystem(np.zeros((2, 2)), unit_box(2), unit_box(2), 1.0)
     assert propagated_error(
-        acc, homogeneous_error(static, TaylorSeries(static.a, 0.3), 2)) == 0.0
+        acc, homogeneous_error(static, TaylorSeries(static.a, 0.3).pieces(2))) == 0.0
     no_input = LinearSystem(np.array([[0.0, 1.0], [-1.0, 0.0]]), unit_box(2),
                             Zonotope.point([0.0, 0.0]), 1.0)
     assert propagated_error(
-        acc, build_step_sets(no_input, TaylorSeries(no_input.a, 0.3), 2).inh_error) == 0.0
+        acc, step_sets(no_input, 0.3, 2).inh_error) == 0.0
 
 
 def test_step_errors_shrink_with_dt():
@@ -298,9 +308,9 @@ def test_step_errors_shrink_with_dt():
     dt = 0.2
     prev_h = prev_p = math.inf
     for _ in range(6):
-        series = TaylorSeries(sys.a, dt)
-        err_h = propagated_error(acc, homogeneous_error(sys, series, 4))
-        err_p = propagated_error(acc, build_step_sets(sys, series, 4).inh_error)
+        sets = step_sets(sys, dt, 4)
+        err_h = propagated_error(acc, sets.hom_error)
+        err_p = propagated_error(acc, sets.inh_error)
         assert err_h < prev_h and err_p < prev_p
         prev_h, prev_p = err_h, err_p
         dt *= 0.5
@@ -325,7 +335,7 @@ def test_input_error_superlinear_in_dt():
         if powers.norm_inf * dt / (eta + 2) >= 1:
             continue
         def input_error(width):
-            sets = build_step_sets(sys, TaylorSeries(powers, width), eta)
+            sets = step_sets(sys, width, eta)
             return propagated_error(acc, sets.inh_error)
 
         base = input_error(dt)
@@ -339,7 +349,7 @@ def test_error_sets_contain_origin():
         n = int(rng.integers(1, 4))
         a = rng.uniform(-2, 2, size=(n, n))
         sys = LinearSystem(a, unit_box(n, 10.0), unit_box(n, 1.0), 1.0)
-        sets = build_step_sets(sys, TaylorSeries(sys.a, 0.05), 4)
+        sets = step_sets(sys, 0.05, 4)
         assert batch_contains(sets.hom_error, np.zeros(n), 1e-12)[0]
         assert batch_contains(sets.inh_error, np.zeros(n), 1e-12)[0]
         assert interval_hull(sets.hom_error).contains(np.zeros(n))

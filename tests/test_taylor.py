@@ -215,10 +215,9 @@ def test_matrix_powers_cache_and_validation():
 
 
 def series_pieces(series, eta):
-    rem = series.remainder(eta)
-    curv = series.curvature(eta)
-    corr = series.correction(eta)
-    return (series.partial_sum(eta), series.input_propagator(eta),
+    pieces = series.pieces(eta)
+    rem, curv, corr = pieces.remainder, pieces.curvature, pieces.correction
+    return (pieces.partial_sum, pieces.input_propagator,
             rem.lo, rem.hi, curv.lo, curv.hi, corr.lo, corr.hi)
 
 
@@ -253,24 +252,26 @@ def test_series_equals_per_order_functions_bit_for_bit(n):
 
 
 def test_series_finiteness_and_convergence():
-    # stiff powers overflow at high orders: those orders are flagged, not
-    # raised, while low orders at a small step stay usable
+    # stiff powers overflow at high orders and the remainder diverges at
+    # low ones: both give no pieces, not an error, while low orders at a
+    # small step stay usable
     stiff = MatrixPowers(np.diag([-3000.0, -1.0]))
     coarse = TaylorSeries(stiff, 0.03)
-    assert not coarse.is_finite(100)
-    with pytest.raises(NotConvergentError):
-        coarse.is_finite(10)
+    assert coarse.pieces(100) is None
+    assert convergence_ratio(stiff, 0.03, 10) >= 1
+    assert coarse.pieces(10) is None
     fine = TaylorSeries(stiff, 1e-4)
-    assert fine.is_finite(5)
-    assert np.array_equal(fine.curvature(5).lo, curvature_enclosure(stiff, 1e-4, 5).lo)
+    pieces = fine.pieces(5)
+    assert pieces is not None and (pieces.dt, pieces.eta) == (1e-4, 5)
+    assert np.array_equal(pieces.curvature.lo, curvature_enclosure(stiff, 1e-4, 5).lo)
     with pytest.raises(ValueError):
         TaylorSeries(stiff, 0.0)
 
 
 def test_checked_order_and_cut_off_reuse_the_series_terms():
     # the cut-off read from a series equals the one computed from scratch
-    # and leaves its partial sums there; pieces kept by is_finite equal the
-    # per-order functions
+    # and leaves its partial sums there; the pieces of every convergent
+    # order are finite and equal the per-order functions
     rng = np.random.default_rng(61)
     a = rng.uniform(-3, 3, size=(3, 3))
     powers = MatrixPowers(a)
@@ -282,9 +283,7 @@ def test_checked_order_and_cut_off_reuse_the_series_terms():
         for eta in range(1, cap + 1):
             if convergence_ratio(powers, dt, eta) >= 1:
                 continue
-            assert series.is_finite(eta)
-            curv = series.curvature(eta)
-            assert curv is series.curvature(eta)
+            assert series.pieces(eta) is not None
             expected = reference_pieces(powers, dt, eta)
             assert all(np.array_equal(g, e)
                        for g, e in zip(series_pieces(series, eta), expected))
@@ -293,14 +292,18 @@ def test_checked_order_and_cut_off_reuse_the_series_terms():
 
 
 def test_unchecked_order_still_validates_its_pieces():
-    # without is_finite, an overflowing order's enclosures are rejected
-    # by the interval constructor, not returned
-    coarse = TaylorSeries(MatrixPowers(np.diag([-3000.0, -1.0])), 0.03)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError):
-            coarse.curvature(100)
-        with pytest.raises(ValueError):
-            coarse.correction(100)
+    # an order no earlier check has passed is validated where its pieces
+    # are built: an overflowing or divergent order yields none, and a
+    # usable one only finite enclosures
+    stiff = MatrixPowers(np.diag([-3000.0, -1.0]))
+    coarse = TaylorSeries(stiff, 0.03)
+    for eta in (10, 100):
+        assert coarse.pieces(eta) is None
+    pieces = TaylorSeries(stiff, 1e-4).pieces(5)
+    for enclosure in (pieces.remainder, pieces.curvature, pieces.correction):
+        assert np.isfinite(enclosure.lo).all() and np.isfinite(enclosure.hi).all()
+    assert np.isfinite(pieces.partial_sum).all()
+    assert np.isfinite(pieces.input_propagator).all()
 
 
 LAMBDAS = (0.0, 0.25, 0.5, 0.9, 1.0)
@@ -339,17 +342,18 @@ def oracle_cases(n):
             for eta in sorted({1, 2, 4, max_taylor_order(powers, dt)}):
                 if convergence_ratio(powers, dt, eta) >= 1:
                     continue
-                assert series.is_finite(eta)
+                pieces = series.pieces(eta)
+                assert pieces is not None
                 with mpmath.workdps(50):
-                    w = mpmath.matrix(series.partial_sum(eta).tolist())
-                    p = mpmath.matrix(series.input_propagator(eta).tolist())
-                    yield "remainder", flow[1.0] - w, series.remainder(eta), slack
+                    w = mpmath.matrix(pieces.partial_sum.tolist())
+                    p = mpmath.matrix(pieces.input_propagator.tolist())
+                    yield "remainder", flow[1.0] - w, pieces.remainder, slack
                     for lam in LAMBDAS:
                         mix = mpmath.mpf(lam)
                         yield ("curvature", flow[lam] - ((1 - mix) * mpmath.eye(n) + mix * w),
-                               series.curvature(eta), slack)
+                               pieces.curvature, slack)
                         yield ("correction", integral[lam] - mix * p,
-                               series.correction(eta), slack * dt)
+                               pieces.correction, slack * dt)
 
 
 def entries_outside(exact, enclosure, slack):

@@ -452,3 +452,26 @@ def test_run_zero_homogeneous_weight_fails_without_sweeping(monkeypatch):
     with pytest.raises(TuningFailedError, match="underflow"):
         run(stiff_system(100.0), eps_max=0.05, weights=(0.0, 0.5, 0.5))
     assert swept == []
+
+
+def test_step_sets_reuse_the_searched_homogeneous_error(monkeypatch):
+    # each accepted step carries the very error set its homogeneous cap
+    # measured: the step sets are built around it, not from scratch again
+    measured, taken = [], []
+    homogeneous_error = tuner.homogeneous_error
+    propagate_step = tuner.propagate_step
+
+    def measure(*args):
+        measured.append(homogeneous_error(*args))
+        return measured[-1]
+
+    def take(acc, sets, p_prev):
+        taken.append(sets)
+        return propagate_step(acc, sets, p_prev)
+
+    monkeypatch.setattr(tuner, "homogeneous_error", measure)
+    monkeypatch.setattr(tuner, "propagate_step", take)
+    result = run(random_system(5, 1), eps_max=0.05)
+    assert len(taken) == result.steps
+    for sets in taken:
+        assert any(sets.hom_error is error for error in measured)
