@@ -386,7 +386,7 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
     horizon = system.horizon
     sets_cache: dict[float, StepSets] = {}
 
-    def choose(t, acc, ledger, dt_prev):
+    def choose(t, acc, ledger):
         width = dt
         if t + dt >= horizon * (1.0 - 1e-12) or horizon - (t + dt) < 1e-9:
             width = horizon - t
@@ -401,17 +401,16 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
             sets = build_step_sets(system, pieces,
                                    homogeneous_error(system, pieces))
             sets_cache[width] = sets
-        step = TunedStep(width, eta, sets,
+        return TunedStep(width, eta, sets,
                          hom_error=propagated_error(acc, sets.hom_error),
                          input_error=propagated_error(acc, sets.inh_error),
                          retries=0)
-        return step, horizon if width == horizon - t else t + width
 
     def reduce(p_next, ledger, width, t):
         return reduce_order(p_next, rho)
 
     start = time.perf_counter()
-    segments, ledger = _step_through(system, choose, reduce, dt)
+    segments, ledger = _step_through(system, choose, reduce)
     result = ReachResult(segments=segments, ledger=ledger, budget=None,
                          tuning_seconds=0.0,
                          total_seconds=time.perf_counter() - start)

@@ -205,13 +205,20 @@ def check_containment(segments: list[ReachSegment], batch: TrajectoryBatch,
     """Verify that every sampled state lies in the segment covering its time.
 
     Each sample time goes to the last segment starting at or before it.
-    Raises ``ValueError`` naming the first sample time that segment does
-    not cover: one before the first segment, after the last, or in a gap.
+    Raises ``ValueError`` when the segments are not sorted by ``t_lo``, or
+    naming the first sample time that segment does not cover: one before
+    the first segment, after the last, or in a gap.
     """
     if not segments:
         raise ValueError("no segments to check the samples against")
     t_lo = np.array([seg.t_lo for seg in segments])
     t_hi = np.array([seg.t_hi for seg in segments])
+    unsorted = np.flatnonzero(np.diff(t_lo) < 0)
+    if unsorted.size:
+        i = int(unsorted[0]) + 1
+        raise ValueError(
+            f"segments are not sorted by t_lo: segment {i} starts at "
+            f"{t_lo[i]:.6g}, before segment {i - 1} at {t_lo[i - 1]:.6g}")
     seg_idx = np.searchsorted(t_lo, batch.times, side="right") - 1
     uncovered = (seg_idx < 0) | (batch.times > t_hi[np.maximum(seg_idx, 0)])
     if uncovered.any():

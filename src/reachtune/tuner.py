@@ -12,7 +12,7 @@ budget.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,7 +132,6 @@ class _Workspace:
     """
 
     def __init__(self, sys: LinearSystem):
-        self.sys = sys
         self.powers = MatrixPowers(sys.a)
         self.hom_floor = homogeneous_error_floor(sys)
         self.build_seconds = 0.0
@@ -155,62 +154,50 @@ class _Workspace:
         return cap
 
 
-def _try_orders(workspace: _Workspace, acc: ExponentialAccumulator,
-                budget: ErrorBudget, ledger: ErrorLedger,
-                dt: float, admissible: float) -> tuple[TunedStep | None, int]:
-    """Sweep eta upward at fixed dt; return the first passing candidate.
-
-    A candidate whose remainder does not converge, or whose Taylor pieces
-    overflow, is rejected without building any set. The homogeneous error
-    is tested first, so the input sets are built only for candidates that
-    pass the homogeneous cap, around the error set that cap measured.
-    """
-    sys = workspace.sys
-    series = workspace.build(TaylorSeries, workspace.powers, dt)
-    retries = 0
-    for eta in range(1, workspace.order_cap(series) + 1):
-        retries += 1
-        pieces = workspace.build(series.pieces, eta)
-        if pieces is None:
-            continue
-        hom_set = workspace.build(homogeneous_error, sys, pieces)
-        hom_err = propagated_error(acc, hom_set)
-        if not hom_err <= budget.hom_max:
-            continue
-        sets = workspace.build(build_step_sets, sys, pieces, hom_set)
-        input_err = propagated_error(acc, sets.inh_error)
-        if (input_err <= admissible
-                and ledger.input_acc + input_err <= budget.input_max):
-            return TunedStep(dt, eta, sets, hom_err, input_err, retries), retries
-    return None, retries
-
-
 def tune_step(sys: LinearSystem, acc: ExponentialAccumulator,
               budget: ErrorBudget, ledger: ErrorLedger, t: float,
-              dt_prev: float, workspace: _Workspace) -> TunedStep:
+              workspace: _Workspace) -> TunedStep:
     """Find ``(dt, eta)`` meeting both per-step bounds at time ``t``.
 
-    Starts from the previous step enlarged once by ``1/0.9`` with the
-    order reset to 1; raises the order up to its cut-off, then shrinks dt
-    by 0.9 per sweep, until both the homogeneous error and the admissible
-    input error accept the candidate. A dt whose certified floor on the
-    homogeneous error (``homogeneous_error_floor``), halved to absorb
-    rounding, already exceeds the cap is skipped without a sweep: no order
-    could pass there, so the accepted step is the same, and the skipped
-    dt adds no retries.
+    Starts from the previous step (``ledger.records[-1].dt``) enlarged once
+    by ``1/0.9``, or the remaining horizon ``T - t`` if that is smaller, so
+    no candidate passes the horizon; the first step starts at ``T``. At each
+    dt it raises the order from 1 up to its cut-off, then shrinks dt by 0.9
+    per sweep, until both the homogeneous error and the admissible input
+    error accept the candidate; ``retries`` counts every candidate
+    evaluated. A candidate whose remainder does not converge, or whose
+    Taylor pieces overflow, is rejected without building any set. The
+    homogeneous error is tested first, so the input sets are built only
+    for candidates that pass the homogeneous cap, around the error set that
+    cap measured. A dt whose certified floor on the homogeneous error
+    (``homogeneous_error_floor``), halved to absorb rounding, already
+    exceeds the cap is skipped without a sweep: no order could pass there,
+    so the accepted step is the same, and the skipped dt adds no retries.
     """
     floor_rate = 0.5 * acc.min_gain() * workspace.hom_floor
-    dt = dt_prev / _SHRINK
+    remaining = sys.horizon - t
+    dt = (min(ledger.records[-1].dt / _SHRINK, remaining) if ledger.records
+          else remaining)
     retries = 0
     while True:
         if not floor_rate * dt * dt > budget.hom_max:
             admissible = admissible_share(budget.input_max - ledger.input_acc,
                                           dt, t, sys.horizon)
-            step, tried = _try_orders(workspace, acc, budget, ledger, dt,
-                                      admissible)
-            retries += tried
-            if step is not None:
-                return replace(step, retries=retries)
+            series = workspace.build(TaylorSeries, workspace.powers, dt)
+            for eta in range(1, workspace.order_cap(series) + 1):
+                retries += 1
+                pieces = workspace.build(series.pieces, eta)
+                if pieces is None:
+                    continue
+                hom_set = workspace.build(homogeneous_error, sys, pieces)
+                hom_err = propagated_error(acc, hom_set)
+                if not hom_err <= budget.hom_max:
+                    continue
+                sets = workspace.build(build_step_sets, sys, pieces, hom_set)
+                input_err = propagated_error(acc, sets.inh_error)
+                if (input_err <= admissible
+                        and ledger.input_acc + input_err <= budget.input_max):
+                    return TunedStep(dt, eta, sets, hom_err, input_err, retries)
         dt *= _SHRINK
         if dt < sys.horizon * _DT_UNDERFLOW:
             raise TuningFailedError(
@@ -236,16 +223,16 @@ def reduce_accumulated(p_accum: Zonotope, budget: ErrorBudget,
     return _cut_ranked_prefix(p_accum, longest_within_budget)
 
 
-def _step_through(sys: LinearSystem, choose, reduce,
-                  dt_prev: float) -> tuple[list[ReachSegment], ErrorLedger]:
+def _step_through(sys: LinearSystem, choose,
+                  reduce) -> tuple[list[ReachSegment], ErrorLedger]:
     """The stepping loop of both the adaptive and the fixed-parameter run.
 
-    ``choose(t, acc, ledger, dt_prev)`` returns the step taken at ``t`` and
-    its end time, and ``reduce(p_next, ledger, dt, t)`` the reduced
-    accumulated input set with its reduction error. Each step propagates
-    the chosen step sets, reduces, records the segment and the ledger entry
-    and advances the exponential enclosure. ``dt_prev`` seeds the first
-    choice.
+    ``choose(t, acc, ledger)`` returns the step taken at ``t``, and
+    ``reduce(p_next, ledger, dt, t)`` the reduced accumulated input set with
+    its reduction error. Each step propagates the chosen step sets, reduces,
+    records the segment and the ledger entry and advances the exponential
+    enclosure. A step whose width equals ``T - t`` ends exactly at ``T``;
+    any other ends at ``t + dt``.
     """
     ledger = ErrorLedger()
     acc = ExponentialAccumulator.identity(sys.dim)
@@ -253,7 +240,8 @@ def _step_through(sys: LinearSystem, choose, reduce,
     segments: list[ReachSegment] = []
     t = 0.0
     while t < sys.horizon:
-        step, t_hi = choose(t, acc, ledger, dt_prev)
+        step = choose(t, acc, ledger)
+        t_hi = sys.horizon if step.dt == sys.horizon - t else t + step.dt
         window, p_next = propagate_step(acc, step.sets, p_accum)
         p_next, reduction_err = reduce(p_next, ledger, step.dt, t)
         segments.append(ReachSegment(t, t_hi, minkowski_sum(window, p_accum)))
@@ -264,7 +252,6 @@ def _step_through(sys: LinearSystem, choose, reduce,
             retries=step.retries))
         acc = acc.advanced(step.sets.propagator, step.sets.remainder)
         p_accum = p_next
-        dt_prev = step.dt
         t = t_hi
     return segments, ledger
 
@@ -275,44 +262,24 @@ def run(sys: LinearSystem, eps_max: float,
 
     Returns segments tiling ``[0, horizon]`` together with the error ledger;
     the ledger totals are guaranteed to respect the budget split of
-    ``eps_max``. A step that would reach or pass the horizon is re-tuned at
-    the exact remaining width, and a leftover of at most a quarter of the
-    accepted step is absorbed into it when the bounds still pass there.
+    ``eps_max``. No step search tries a width past the remaining horizon,
+    and the step accepted at the full remaining width is the last one.
+    Raises ``TuningFailedError`` when the step size underflows.
     """
     budget = ErrorBudget.split(eps_max, weights)
     workspace = _Workspace(sys)
     horizon = sys.horizon
     tuning = 0.0
 
-    def choose(t, acc, ledger, dt_prev):
+    def choose(t, acc, ledger):
         nonlocal tuning
         mark = time.perf_counter()
         built = workspace.build_seconds
-        step = tune_step(sys, acc, budget, ledger, t, dt_prev, workspace)
-        final = t + step.dt >= horizon * (1.0 - 1e-12)
-        if final:
-            retune = t + step.dt != horizon
-        else:
-            retune = 0.0 < horizon - t - step.dt <= 0.25 * step.dt
-        if retune:
-            # re-tune the order at the exact remaining width: required for a
-            # final step, optional when absorbing a sliver of leftover horizon
-            dt = horizon - t
-            admissible = admissible_share(budget.input_max - ledger.input_acc,
-                                          dt, t, horizon)
-            clamped, tried = _try_orders(workspace, acc, budget, ledger, dt,
-                                         admissible)
-            if clamped is not None:
-                step = replace(clamped, retries=step.retries + tried)
-                final = True
-            elif final:
-                raise TuningFailedError(
-                    f"no Taylor order satisfies the bounds at the clamped "
-                    f"final step dt={dt:.3g}")
+        step = tune_step(sys, acc, budget, ledger, t, workspace)
         # construction of step pieces counts as propagation, not tuning
         tuning += (time.perf_counter() - mark
                    - (workspace.build_seconds - built))
-        return step, horizon if final else t + step.dt
+        return step
 
     def reduce(p_next, ledger, dt, t):
         nonlocal tuning
@@ -322,7 +289,7 @@ def run(sys: LinearSystem, eps_max: float,
         return reduced
 
     start = time.perf_counter()
-    segments, ledger = _step_through(sys, choose, reduce, horizon * _SHRINK)
+    segments, ledger = _step_through(sys, choose, reduce)
     return ReachResult(segments=segments, ledger=ledger, budget=budget,
                        tuning_seconds=tuning,
                        total_seconds=time.perf_counter() - start)

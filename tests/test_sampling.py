@@ -166,6 +166,19 @@ def test_check_containment_rejects_uncovered_times():
     assert check_containment(segments, batch).checked == batch.times.size * 5
 
 
+def test_check_containment_rejects_segments_out_of_time_order():
+    # [1, 2] then [0, 1] cover [0, 2], but not in order: say so, instead of
+    # reporting a covered time as uncovered
+    box = Zonotope([0.0, 0.0], np.eye(2))
+    first, second = ReachSegment(0.0, 1.0, box), ReachSegment(1.0, 2.0, box)
+    batch = TrajectoryBatch(times=np.array([0.5, 1.5]),
+                            states=np.zeros((2, 1, 2)))
+    with pytest.raises(ValueError, match="segments are not sorted by t_lo: "
+                       "segment 1 starts at 0, before segment 0 at 1"):
+        check_containment([second, first], batch)
+    assert check_containment([first, second], batch).all_contained
+
+
 def test_sample_validation():
     sys = static_system()
     with pytest.raises(ValueError):

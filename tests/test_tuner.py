@@ -10,6 +10,7 @@ from reachtune import tuner
 from reachtune.modelio import random_system
 from reachtune.reach import LinearSystem
 from reachtune.sampling import check_containment, sample_trajectories
+from reachtune.taylor import TaylorSeries
 from reachtune.tuner import (ErrorBudget, ErrorLedger, ReachResult, StepRecord,
                              TuningFailedError, admissible_share,
                              reduce_accumulated, run)
@@ -152,15 +153,16 @@ def test_run_deterministic():
 
 
 def test_run_shrink_sequence_is_geometric():
-    # every accepted dt is the enlarged previous dt shrunk k times
+    # every accepted dt, the last one included, is its search's start shrunk
+    # k times: the enlarged previous dt, or the remaining horizon if smaller
     rng = np.random.default_rng(13)
     a = rng.uniform(-1, 1, size=(2, 2))
     sys = LinearSystem(a, unit_box(2, 10.0, 0.25), unit_box(2, 1.0, 0.05), 3.0)
     result = run(sys, eps_max=0.05)
     shrink = 0.9
     dt_prev = 3.0 * shrink
-    for record in result.ledger.records[:-1]:   # final step may be clamped
-        start = dt_prev / shrink
+    for record in result.ledger.records:
+        start = min(dt_prev / shrink, 3.0 - record.t_lo)
         k = math.log(record.dt / start) / math.log(shrink)
         assert k > -1e-9
         assert abs(k - round(k)) < 1e-6
@@ -168,23 +170,48 @@ def test_run_shrink_sequence_is_geometric():
 
 
 @pytest.mark.parametrize("seed, steps, branch", [
-    (2, 16, "absorb"), (4, 86, "absorb-fails"), (1, 36, "clamp")])
+    (2, 16, "wider"), (4, 86, "sliver"), (1, 36, "clamp")])
 def test_run_final_step_branches(seed, steps, branch):
-    # each run ends at the horizon through one branch of the end rule:
-    # absorb a leftover of at most a quarter step, fail to absorb it and
-    # clamp the next step, or clamp a step that would pass the horizon
+    # each run ends with a step of the full remaining width T - t, which
+    # ends exactly at T: wider than the step before, a sliver of at most a
+    # quarter of it, or narrower than it but more than a quarter
     records = run(random_system(2, seed), eps_max=0.05).ledger.records
     last, before = records[-1], records[-2]
     assert len(records) == steps
     assert last.t_hi == 3.0
     assert last.dt == 3.0 - last.t_lo
-    if branch == "absorb":
+    if branch == "wider":
         assert last.dt > before.dt
-    elif branch == "absorb-fails":
+    elif branch == "sliver":
         assert 0.0 < 3.0 - before.t_hi <= 0.25 * before.dt
     else:
         assert 3.0 - before.t_hi > 0.25 * before.dt
         assert last.dt < before.dt
+
+
+@pytest.mark.parametrize("system", ["stiff", "random-2-2"])
+def test_run_tries_no_step_past_the_horizon(system, monkeypatch):
+    # every step size the search builds a Taylor series for fits in the
+    # horizon left at the start of its step
+    sys = {"stiff": stiff_system(100.0), "random-2-2": random_system(2, 2)}[system]
+    tried, starts = [], []
+    tune_step, series = tuner.tune_step, tuner.TaylorSeries
+
+    def tune(*args):
+        starts.append(args[4])      # the step's start time t
+        return tune_step(*args)
+
+    def build(powers, dt):
+        tried.append((starts[-1], dt))
+        return series(powers, dt)
+
+    monkeypatch.setattr(tuner, "tune_step", tune)
+    monkeypatch.setattr(tuner, "TaylorSeries", build)
+    result = run(sys, eps_max=0.05)
+    assert len(starts) == result.steps
+    assert tried
+    for t, dt in tried:
+        assert dt <= sys.horizon - t
 
 
 @pytest.mark.parametrize("case", ["unstable", "tight-eps", "zero-input"])
@@ -433,25 +460,42 @@ def test_run_stiff_search_evaluates_pinned_candidates():
     assert result.steps == 25
     assert records[0].dt == 0.003232579099291748
     assert retries[0] == 83
-    assert sum(retries) == 253
+    assert sum(retries) == 248
     assert [r.taylor_order for r in records] == [
-        3, 3, 3, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 3, 2, 3, 3, 4, 6, 3, 5, 2, 6, 1]
+        3, 3, 3, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 3, 2, 3, 3, 4, 6, 3, 5, 2, 5, 1]
+
+
+@pytest.mark.parametrize("system", ["random-5-1", "stiff"])
+def test_run_retries_count_every_candidate(system, monkeypatch):
+    # the ledger's retries add up to the Taylor pieces the run asked for,
+    # one per candidate (dt, eta) evaluated
+    sys = {"random-5-1": random_system(5, 1), "stiff": stiff_system(100.0)}[system]
+    asked = []
+    pieces = TaylorSeries.pieces
+
+    def count(series, eta):
+        asked.append(eta)
+        return pieces(series, eta)
+
+    monkeypatch.setattr(TaylorSeries, "pieces", count)
+    records = run(sys, eps_max=0.05).ledger.records
+    assert sum(r.retries for r in records) == len(asked)
 
 
 def test_run_zero_homogeneous_weight_fails_without_sweeping(monkeypatch):
     # the floor on the homogeneous error is positive, so with no
     # homogeneous budget every step size is skipped down to the underflow
-    swept = []
-    sweep = tuner._try_orders
+    built = []
+    series = tuner.TaylorSeries
 
-    def try_orders(*args):
-        swept.append(args)
-        return sweep(*args)
+    def build(*args):
+        built.append(args)
+        return series(*args)
 
-    monkeypatch.setattr(tuner, "_try_orders", try_orders)
+    monkeypatch.setattr(tuner, "TaylorSeries", build)
     with pytest.raises(TuningFailedError, match="underflow"):
         run(stiff_system(100.0), eps_max=0.05, weights=(0.0, 0.5, 0.5))
-    assert swept == []
+    assert built == []
 
 
 def test_step_sets_reuse_the_searched_homogeneous_error(monkeypatch):
