@@ -175,6 +175,8 @@ def _cmd_check(args) -> int:
 def _cmd_sample(args) -> int:
     if args.count < 1:
         raise _UsageError(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.step is not None and not 0 < args.step < float("inf"):
         raise _UsageError(f"--step must be positive and finite, got {args.step}")
     _check_outputs(args.out, inputs=(args.model, args.result))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -189,6 +188,7 @@ def random_system(dim: int, seed: int) -> LinearSystem:
     and the horizon is 3.
     """
     _require(dim >= 2, f"dimension must be >= 2, got {dim}")
+    _require(seed >= 0, f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     blocks = np.zeros((dim, dim))
     for p in range(dim // 2):
@@ -371,12 +371,12 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
                        out_path=None, report_path=None) -> tuple[ReachResult, RunReport]:
     """Same pipeline with tuning disabled: fixed step, order and set order.
 
-    ``run`` and this baseline share one stepping loop; only the choice of
-    each step and the reduction differ. Errors are still tracked in the
-    ledger but no budget is enforced, so the reported totals are
-    informational only. The final step is clamped to the horizon when
-    ``dt`` does not divide it, and a leftover below 1e-9 is absorbed into
-    the last step.
+    ``run`` and this baseline share one stepping loop, whose clock gives
+    the wall time; only the choice of each step and the reduction differ.
+    Errors are still tracked in the ledger but no budget is enforced, so the
+    reported totals are informational only. The final step is clamped to
+    the horizon when ``dt`` does not divide it, and a leftover below 1e-9 is
+    absorbed into the last step.
     """
     _require(dt > 0 and math.isfinite(dt), f"baseline dt must be positive, got {dt}")
     _require(eta >= 1, f"baseline eta must be >= 1, got {eta}")
@@ -386,7 +386,7 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
     horizon = system.horizon
     sets_cache: dict[float, StepSets] = {}
 
-    def choose(t, acc, ledger):
+    def choose(_system, acc, _budget, _ledger, t, _workspace):
         width = dt
         if t + dt >= horizon * (1.0 - 1e-12) or horizon - (t + dt) < 1e-9:
             width = horizon - t
@@ -406,12 +406,10 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
                          input_error=propagated_error(acc, sets.inh_error),
                          retries=0)
 
-    def reduce(p_next, ledger, width, t):
+    def reduce(p_next, *_):
         return reduce_order(p_next, rho)
 
-    start = time.perf_counter()
-    segments, ledger = _step_through(system, choose, reduce)
+    segments, ledger, _, total = _step_through(system, choose, reduce)
     result = ReachResult(segments=segments, ledger=ledger, budget=None,
-                         tuning_seconds=0.0,
-                         total_seconds=time.perf_counter() - start)
+                         tuning_seconds=0.0, total_seconds=total)
     return _report_and_write(result, system.dim, out_path, report_path)

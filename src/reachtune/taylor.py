@@ -257,13 +257,13 @@ MAX_ORDER_CAP = 100
 MAX_ORDER_REL_FLOOR = 1e-12
 
 
-def max_taylor_order(a, dt: float, rel_floor: float = MAX_ORDER_REL_FLOOR,
-                     cap: int = MAX_ORDER_CAP) -> int:
+def max_taylor_order(a, dt: float) -> int:
     """Smallest useful series cut-off for the given matrix and step.
 
     Returns the smallest ``eta`` whose remainder tail ratio is < 1 and whose
     scalar tail bound ``(||A||dt)^(eta+1)/(eta+1)!/(1-zeta)`` drops below
-    ``rel_floor`` relative to the partial sum's inf-norm, capped at ``cap``.
+    ``MAX_ORDER_REL_FLOOR`` relative to the partial sum's inf-norm, capped
+    at ``MAX_ORDER_CAP``.
 
     ``a`` is the matrix, its ``MatrixPowers``, or a ``TaylorSeries`` at step
     ``dt``; the partial sums are read from that series, which keeps them.
@@ -279,7 +279,7 @@ def max_taylor_order(a, dt: float, rel_floor: float = MAX_ORDER_REL_FLOOR,
     alpha = series.powers.norm_inf * dt
     log_alpha = math.log(alpha) if alpha > 0 else -math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for eta in range(1, cap + 1):
+        for eta in range(1, MAX_ORDER_CAP + 1):
             partial = series.partial_sum(eta)
             zeta = alpha / (eta + 2)
             if zeta >= 1.0:
@@ -295,6 +295,6 @@ def max_taylor_order(a, dt: float, rel_floor: float = MAX_ORDER_REL_FLOOR,
                 if log_tail == -math.inf:
                     return eta
                 continue
-            if log_tail <= math.log(rel_floor) + math.log(norm_partial):
+            if log_tail <= math.log(MAX_ORDER_REL_FLOOR) + math.log(norm_partial):
                 return eta
-    return cap
+    return MAX_ORDER_CAP

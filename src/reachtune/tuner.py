@@ -223,27 +223,35 @@ def reduce_accumulated(p_accum: Zonotope, budget: ErrorBudget,
     return _cut_ranked_prefix(p_accum, longest_within_budget)
 
 
-def _step_through(sys: LinearSystem, choose,
-                  reduce) -> tuple[list[ReachSegment], ErrorLedger]:
-    """The stepping loop of both the adaptive and the fixed-parameter run.
+def _step_through(sys: LinearSystem, choose, reduce, budget=None, workspace=None
+                  ) -> tuple[list[ReachSegment], ErrorLedger, float, float]:
+    """The stepping loop, and its one clock, of both the adaptive and the
+    fixed-parameter run.
 
-    ``choose(t, acc, ledger)`` returns the step taken at ``t``, and
-    ``reduce(p_next, ledger, dt, t)`` the reduced accumulated input set with
-    its reduction error. Each step propagates the chosen step sets, reduces,
-    records the segment and the ledger entry and advances the exponential
-    enclosure. A step whose width equals ``T - t`` ends exactly at ``T``;
-    any other ends at ``t + dt``.
+    ``choose`` and ``reduce`` take the arguments of ``tune_step`` and
+    ``reduce_accumulated``, with ``budget`` and ``workspace`` as passed here.
+    Each step propagates the chosen step sets, reduces, records the segment
+    and the ledger entry and advances the exponential enclosure. A step whose
+    width equals ``T - t`` ends exactly at ``T``; any other ends at
+    ``t + dt``. Returns the segments, the ledger, the seconds spent inside
+    ``choose`` and ``reduce`` together, and the seconds of the whole loop.
     """
     ledger = ErrorLedger()
     acc = ExponentialAccumulator.identity(sys.dim)
     p_accum = Zonotope.point(np.zeros(sys.dim))
     segments: list[ReachSegment] = []
     t = 0.0
+    callback_seconds = 0.0
+    start = time.perf_counter()
     while t < sys.horizon:
-        step = choose(t, acc, ledger)
+        mark = time.perf_counter()
+        step = choose(sys, acc, budget, ledger, t, workspace)
+        callback_seconds += time.perf_counter() - mark
         t_hi = sys.horizon if step.dt == sys.horizon - t else t + step.dt
         window, p_next = propagate_step(acc, step.sets, p_accum)
-        p_next, reduction_err = reduce(p_next, ledger, step.dt, t)
+        mark = time.perf_counter()
+        p_next, reduction_err = reduce(p_next, budget, ledger, step.dt, t, sys.horizon)
+        callback_seconds += time.perf_counter() - mark
         segments.append(ReachSegment(t, t_hi, minkowski_sum(window, p_accum)))
         ledger.add(StepRecord(
             t_lo=t, t_hi=t_hi, dt=step.dt, taylor_order=step.eta,
@@ -253,7 +261,7 @@ def _step_through(sys: LinearSystem, choose,
         acc = acc.advanced(step.sets.propagator, step.sets.remainder)
         p_accum = p_next
         t = t_hi
-    return segments, ledger
+    return segments, ledger, callback_seconds, time.perf_counter() - start
 
 
 def run(sys: LinearSystem, eps_max: float,
@@ -264,35 +272,17 @@ def run(sys: LinearSystem, eps_max: float,
     the ledger totals are guaranteed to respect the budget split of
     ``eps_max``. No step search tries a width past the remaining horizon,
     and the step accepted at the full remaining width is the last one.
-    Raises ``TuningFailedError`` when the step size underflows.
+    ``tuning_seconds`` is the loop's time in ``tune_step`` and
+    ``reduce_accumulated`` less ``_Workspace.build_seconds``, the construction
+    of step pieces. Raises ``TuningFailedError`` when the step size underflows.
     """
     budget = ErrorBudget.split(eps_max, weights)
     workspace = _Workspace(sys)
-    horizon = sys.horizon
-    tuning = 0.0
-
-    def choose(t, acc, ledger):
-        nonlocal tuning
-        mark = time.perf_counter()
-        built = workspace.build_seconds
-        step = tune_step(sys, acc, budget, ledger, t, workspace)
-        # construction of step pieces counts as propagation, not tuning
-        tuning += (time.perf_counter() - mark
-                   - (workspace.build_seconds - built))
-        return step
-
-    def reduce(p_next, ledger, dt, t):
-        nonlocal tuning
-        mark = time.perf_counter()
-        reduced = reduce_accumulated(p_next, budget, ledger, dt, t, horizon)
-        tuning += time.perf_counter() - mark
-        return reduced
-
-    start = time.perf_counter()
-    segments, ledger = _step_through(sys, choose, reduce)
+    segments, ledger, callback_seconds, total = _step_through(
+        sys, tune_step, reduce_accumulated, budget, workspace)
     return ReachResult(segments=segments, ledger=ledger, budget=budget,
-                       tuning_seconds=tuning,
-                       total_seconds=time.perf_counter() - start)
+                       tuning_seconds=callback_seconds - workspace.build_seconds,
+                       total_seconds=total)
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,20 @@ def test_malformed_numbers_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_seed_exits_three(tmp_path, capsys):
+    # numpy's generator refuses a negative seed; gen and sample reject it
+    # as input, naming the seed, before any generator is made
+    model = gen_model(tmp_path)
+    assert main(["gen", "--dim", "2", "--seed", "-1",
+                 "--out", str(tmp_path / "neg.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be >= 0, got -1" in err
+    assert main(["sample", "--model", str(model), "--count", "1",
+                 "--seed", "-3", "--out", str(tmp_path / "t.jsonl")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed must be >= 0, got -3" in err
+
+
 def test_run_time_failures_exit_four(tmp_path, capsys, monkeypatch):
     model = gen_model(tmp_path)
     # no homogeneous budget: the step search cannot meet the cap

@@ -352,6 +352,35 @@ def test_reduce_accumulated_encloses_within_its_certified_error(p, budget, spent
         assert -tol <= gap <= err + tol
 
 
+def test_tuning_seconds_are_search_less_construction_plus_reduction(monkeypatch):
+    # a clock that moves only inside the wrapped calls: 3 s per step search,
+    # 2 s per construction metered by the workspace, 7 s per reduction.
+    # Tuning time is the search less its construction plus the reduction;
+    # the run's total time is all three.
+    clock, builds = [0.0], []
+    search, build, reduce = (tuner.tune_step, tuner._Workspace.build,
+                             tuner.reduce_accumulated)
+
+    def ticking(fn, seconds):
+        def call(*args):
+            clock[0] += seconds
+            return fn(*args)
+        return call
+
+    def metered(workspace, construct, *args):
+        builds.append(construct)
+        return build(workspace, ticking(construct, 2.0), *args)
+
+    monkeypatch.setattr(tuner.time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(tuner, "tune_step", ticking(search, 3.0))
+    monkeypatch.setattr(tuner, "reduce_accumulated", ticking(reduce, 7.0))
+    monkeypatch.setattr(tuner._Workspace, "build", metered)
+    result = run(random_system(2, 1), eps_max=0.05)
+    assert builds
+    assert result.tuning_seconds == 10.0 * result.steps
+    assert result.total_seconds == 10.0 * result.steps + 2.0 * len(builds)
+
+
 @pytest.mark.parametrize("dim", [2, 10])
 def test_run_with_the_cut_matches_the_per_round_reduction(dim, monkeypatch):
     def summary(result):
