@@ -66,8 +66,11 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _has_bool(value) -> bool:
-    return isinstance(value, bool) or (
-        isinstance(value, list) and any(map(_has_bool, value)))
+    if not isinstance(value, list):
+        return isinstance(value, bool)
+    kinds = set(map(type, value))
+    return bool in kinds or (list in kinds and any(
+        _has_bool(item) for item in value if isinstance(item, list)))
 
 
 def _numeric(value, label: str) -> np.ndarray:

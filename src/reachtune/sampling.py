@@ -18,8 +18,10 @@ from .reach import LinearSystem, ReachSegment
 from .zonotope import Zonotope
 
 INPUT_SWITCHES = 10
-# Douglas-Rachford rounds before the undecided points go to the LP.
-SPLITTING_ROUNDS = 400
+# Active-set rounds of the witness search before the undecided points go
+# to the LP: a member the least-squares start misses takes a few rounds,
+# rarely more than 10.
+WITNESS_ROUNDS = 50
 # Uncontained states that a containment report lists.
 MAX_FAILURES = 10
 
@@ -86,11 +88,12 @@ def batch_contains(z: Zonotope, points: np.ndarray, tol: float) -> np.ndarray:
     Rejects points outside the (tol-inflated) box hull. For the accept side,
     axis-aligned generators are folded into per-axis slack (their Minkowski
     sum is exactly a box), so a point is in the set iff coefficients for
-    the remaining generators leave a residual within that slack. Witness
-    coefficients are searched by Douglas-Rachford splitting between the
-    bound constraints and the affine consistency set, batched over all
-    undecided points; stragglers are settled by an exact linear program.
-    Every accept carries an explicit coefficient witness, so no false
+    the remaining generators leave a residual within that slack. Witnesses
+    start from the clipped least-squares coefficients and are searched by
+    active-set least-norm corrections (Stark and Parker's bounded-variable
+    least squares), batched over the undecided points; stragglers are
+    settled by an exact linear program. Every accept carries an explicit
+    coefficient witness, checked on the unscaled generators, so no false
     accepts arise; a reject comes from the box check or the LP alone.
     """
     if tol < 0:
@@ -106,12 +109,12 @@ def batch_contains(z: Zonotope, points: np.ndarray, tol: float) -> np.ndarray:
     scale = max(1.0, float(np.abs(z.center).max(initial=0.0)),
                 float(np.abs(points).max(initial=0.0)))
     eq_tol = 1e-9 * scale
-    m = points.shape[0]
+    bound = 1.0 + tol
     if z.num_generators == 0:
         return np.all(np.abs(r) <= eq_tol, axis=1)
-    out = np.zeros(m, dtype=bool)
+    out = np.zeros(points.shape[0], dtype=bool)
     half = np.abs(z.generators).sum(axis=1)
-    inside_box = np.all(np.abs(r) <= (1.0 + tol) * half[None, :] + eq_tol, axis=1)
+    inside_box = np.all(np.abs(r) <= bound * half[None, :] + eq_tol, axis=1)
     if not inside_box.any():
         return out
     idx = np.flatnonzero(inside_box)
@@ -119,45 +122,39 @@ def batch_contains(z: Zonotope, points: np.ndarray, tol: float) -> np.ndarray:
 
     nonzero = np.count_nonzero(z.generators, axis=0)
     axis = nonzero == 1
-    slack = (1.0 + tol) * np.abs(z.generators[:, axis]).sum(axis=1) + eq_tol
-    g = z.generators[:, nonzero > 1]
-    if g.shape[1] == 0:
+    slack = bound * np.abs(z.generators[:, axis]).sum(axis=1) + eq_tol
+    if not np.any(nonzero > 1):
         out[idx] = np.all(np.abs(work_r) <= slack[None, :], axis=1)
         return out
 
-    # the splitting starts from the plain least-squares coefficients
-    beta = work_r @ np.linalg.pinv(g).T
-    # column-normalized generators keep the splitting well conditioned;
-    # the scales move into per-coordinate bounds; dividing by each column's
-    # largest entry first keeps its norm from underflowing or overflowing
-    peak = np.abs(g).max(axis=0)
-    scales = peak * np.linalg.norm(g / peak, axis=0)
-    g = g / scales
-    bounds = (1.0 + tol) * scales
-    n = g.shape[0]
-    regularized = np.linalg.inv(g @ g.T + np.eye(n))
-    zb = np.clip(beta * scales, -bounds, bounds)
-    ze = np.clip(zb @ g.T - work_r, -slack, slack)
-    for _ in range(SPLITTING_ROUNDS):
-        xb = np.clip(zb, -bounds, bounds)
-        xe = np.clip(ze, -slack, slack)
-        residual = xb @ g.T - work_r
+    # The search solves c + G beta = x over all generators; the witness
+    # test then trades the axis coefficients for their slack, through G
+    # with its axis columns zeroed. Corrections use G over its largest
+    # entry, and a ridge keeps each Gram invertible.
+    coupled = np.where(nonzero > 1, z.generators, 0.0)
+    unit = np.abs(z.generators).max()
+    gu = z.generators / unit
+    ridge = 1e-10 * np.sum(gu * gu) / z.dim * np.eye(z.dim)
+    beta = np.clip(work_r @ np.linalg.pinv(z.generators).T, -bound, bound)
+    step = np.zeros_like(beta)
+    for _ in range(WITNESS_ROUNDS):
+        residual = beta @ coupled.T - work_r
         excess = residual - np.clip(residual, -slack, slack)
         feasible = np.max(np.abs(excess), axis=1) <= eq_tol
         out[idx[feasible]] = True
-        keep = ~feasible
-        if not keep.any():
+        if feasible.all():
             return out
-        if not feasible.all():
-            idx, work_r = idx[keep], work_r[keep]
-            zb, ze, xb, xe = zb[keep], ze[keep], xb[keep], xe[keep]
-        # reflect through the bounds, project onto the affine set, average
-        rb, re = 2.0 * xb - zb, 2.0 * xe - ze
-        w = (rb @ g.T - re - work_r) @ regularized
-        zb = zb + (rb - w @ g) - xb
-        ze = ze + (re + w) - xe
+        keep = ~feasible
+        idx, work_r, beta, step = idx[keep], work_r[keep], beta[keep], step[keep]
+        # least-norm correction of the residual on each point's free
+        # coefficients: inside the bounds, or pushed inward last round
+        free = (np.abs(beta) < bound) | (beta * step < 0.0)
+        gram = (free[:, None, :] * gu) @ gu.T + ridge
+        target = beta @ gu.T - work_r / unit
+        step = -(np.linalg.solve(gram, target[:, :, None])[:, :, 0] @ gu)
+        beta = np.clip(beta + np.where(free, step, 0.0), -bound, bound)
     for pos, k in enumerate(idx):
-        out[k] = _min_inf_norm(z.generators, work_r[pos], eq_tol) <= 1.0 + tol
+        out[k] = _min_inf_norm(z.generators, work_r[pos], eq_tol) <= bound
     return out
 
 

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from reachtune import sampling
 from reachtune.intervals import IntervalMatrix
-from reachtune.modelio import random_system
+from reachtune.modelio import random_system, run_fixed_baseline
 from reachtune.reach import LinearSystem, ReachSegment
 from reachtune.sampling import (TrajectoryBatch, _min_inf_norm, batch_contains,
                                 check_containment, sample_trajectories)
@@ -109,6 +110,78 @@ def test_membership_on_badly_scaled_generators():
         warnings.simplefilter("error")
         inside = batch_contains(tiny, [[0.9, -0.9], [1.05, 0.95]], tol=1e-9)
     np.testing.assert_array_equal(inside, [False, True])
+
+
+def counting_lp(monkeypatch) -> list:
+    """Patch the membership LP to record its calls; returns the record."""
+    calls = []
+    exact = sampling._min_inf_norm
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(sampling, "_min_inf_norm", counted)
+    return calls
+
+
+def test_near_boundary_verdicts_agree_with_the_lp(monkeypatch):
+    # points c + s G beta for sign vectors beta: at s = 1 each is a member
+    # the search must find without the LP; at s = 0.99 and 1.01 the verdict
+    # must be the LP's
+    rng = np.random.default_rng(21)
+    calls = counting_lp(monkeypatch)
+    for _ in range(24):
+        n = int(rng.integers(2, 11))
+        coupled = rng.normal(size=(n, int(rng.integers(n, 15 * n + 1))))
+        axis = np.zeros((n, int(rng.integers(0, n + 1))))
+        axis[rng.integers(n, size=axis.shape[1]), np.arange(axis.shape[1])] = \
+            rng.uniform(0.01, 0.5, axis.shape[1])
+        g = np.hstack((coupled, axis))
+        z = Zonotope(rng.normal(size=n), g)
+        signs = rng.choice([-1.0, 1.0], size=(6, g.shape[1]))
+        for s in (0.99, 1.0, 1.01):
+            pts = z.center + s * signs @ g.T
+            before = len(calls)
+            got = batch_contains(z, pts, tol=1e-6)
+            if s == 1.0:
+                assert got.all() and len(calls) == before
+                continue
+            for x, flag in zip(pts, got):
+                scale = max(1.0, np.abs(z.center).max(), np.abs(x).max())
+                beta_norm = _min_inf_norm(g, x - z.center, 1e-9 * scale)
+                assert flag == (beta_norm <= 1.0 + 1e-6)
+
+
+def test_fixed_baseline_containment_needs_no_lp(monkeypatch):
+    # the witness search settles every state of a fixed-parameter run; a
+    # change that sends states to the LP would show here before it shows
+    # as a slower check
+    system = random_system(8, 1)
+    result, _ = run_fixed_baseline(system, 0.03, 4, 10)
+    batch = sample_trajectories(system, count=20, seed=0, step=0.003)
+    calls = counting_lp(monkeypatch)
+    report = check_containment(result.segments, batch)
+    assert report.all_contained, report.failures
+    assert report.checked == batch.times.size * 20
+    assert len(calls) == 0
+
+
+def test_membership_with_collinear_generators(monkeypatch):
+    # the coupled generators all lie on one line, so every Gram matrix the
+    # search builds is singular but for its ridge; the off-line point below
+    # saturates every coefficient, which leaves the free set empty
+    line = np.ones(3)
+    g = np.column_stack((2.0 * line, line, [0.0, 0.0, 0.5], [0.0, 0.0, 0.5]))
+    z = Zonotope(np.zeros(3), g)
+    calls = counting_lp(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        on_line = batch_contains(z, [[1.5, 1.5, 1.5], [3.0, 3.0, 4.0]], tol=1e-9)
+        assert len(calls) == 0
+        off_line = batch_contains(z, [3.0, 3.0, -4.0], tol=1e-9)
+    np.testing.assert_array_equal(on_line, [True, True])
+    assert not off_line[0] and len(calls) == 1
 
 
 def test_batch_contains_rejects_bad_input():
