@@ -22,8 +22,9 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from .reach import (LinearSystem, ReachSegment, StepSets, build_step_sets,
-                    homogeneous_error, propagated_error)
-from .taylor import MAX_ORDER_CAP, TaylorSeries, convergence_ratio
+                    homogeneous_error, propagated_error,
+                    propagated_homogeneous_error)
+from .taylor import MAX_ORDER_CAP, TaylorPieces, TaylorSeries, convergence_ratio
 from .tuner import DEFAULT_WEIGHTS, ReachResult, TunedStep, _step_through, run
 from .zonotope import Zonotope, interval_hull, reduce_order, support
 
@@ -387,25 +388,24 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
              f"baseline eta must be <= {MAX_ORDER_CAP}, got {eta}")
     _require(rho >= 1, f"baseline rho must be >= 1, got {rho}")
     horizon = system.horizon
-    sets_cache: dict[float, StepSets] = {}
+    cache: dict[float, tuple[TaylorPieces, StepSets]] = {}
 
     def choose(_system, acc, _budget, _ledger, t, _workspace):
         width = dt
         if t + dt >= horizon * (1.0 - 1e-12) or horizon - (t + dt) < 1e-9:
             width = horizon - t
-        sets = sets_cache.get(width)
-        if sets is None:
+        if width not in cache:
             _require(convergence_ratio(system.a, width, eta) < 1.0,
                      f"Taylor remainder does not converge at dt={width:.3g}, "
                      f"eta={eta}: raise eta or lower dt")
             pieces = TaylorSeries(system.a, width).pieces(eta)
             _require(pieces is not None,
                      f"Taylor terms overflow at dt={width:.3g}, eta={eta}")
-            sets = build_step_sets(system, pieces,
-                                   homogeneous_error(system, pieces))
-            sets_cache[width] = sets
+            cache[width] = pieces, build_step_sets(
+                system, pieces, homogeneous_error(system, pieces))
+        pieces, sets = cache[width]
         return TunedStep(width, eta, sets,
-                         hom_error=propagated_error(acc, sets.hom_error),
+                         hom_error=propagated_homogeneous_error(acc, system, pieces),
                          input_error=propagated_error(acc, sets.inh_error),
                          retries=0)
 

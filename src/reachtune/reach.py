@@ -16,8 +16,8 @@ import numpy as np
 
 from .intervals import IntervalMatrix
 from .taylor import TaylorPieces
-from .zonotope import (Zonotope, enclosure_radius, hull_of, interval_map,
-                       linear_map, minkowski_sum)
+from .zonotope import (Zonotope, _halfwidths, enclosure_radius, hull_of,
+                       interval_map, linear_map, minkowski_sum)
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def homogeneous_error_floor(sys: LinearSystem) -> float:
     ``dt**2 |A| / 16``, and ``interval_map`` turns those radii into box
     halfwidths of ``E``. The point of ``E`` that attains its largest
     coordinate keeps at least ``sigma_min(M)`` of its length under a point
-    matrix ``M``, so
+    matrix ``M``, so the search's score ``propagated_homogeneous_error`` obeys
 
         propagated_error(acc, E) >= sigma_min(mid(acc.enclosure)) * dt**2 * max(v).
 
@@ -195,6 +195,22 @@ def propagate_step(acc: ExponentialAccumulator, sets: StepSets,
 def propagated_error(acc: ExponentialAccumulator, error_set: Zonotope) -> float:
     """Enclosure radius of an error set after mapping it to the current time."""
     return enclosure_radius(interval_map(acc.enclosure, error_set))
+
+
+def propagated_homogeneous_error(acc: ExponentialAccumulator, sys: LinearSystem,
+                                 pieces: TaylorPieces) -> float:
+    """``propagated_error(acc, homogeneous_error(sys, pieces))``, no set built:
+    for that set's center ``c``, generators ``G`` and box halfwidths ``h``,
+    the norm of ``|M c| + sum_j |M g_j| + |M| h + R (|c| + sum_j |g_j| + h)``."""
+    x0, u_c = sys.initial_set, sys.input_set.center
+    curv, corr = pieces.curvature, pieces.correction
+    c = curv.mid @ x0.center + corr.mid @ u_c
+    g = curv.mid @ x0.generators
+    h = curv.rad @ (np.abs(x0.center) + _halfwidths(x0)) + corr.rad @ np.abs(u_c)
+    m, r = acc.enclosure.mid, acc.enclosure.rad
+    corner = (np.abs(m @ c) + np.abs(m @ g).sum(axis=1) + np.abs(m) @ h
+              + r @ (np.abs(c) + np.abs(g).sum(axis=1) + h))
+    return float(np.linalg.norm(corner))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ INPUT_SWITCHES = 10
 # to the LP: a member the least-squares start misses takes a few rounds,
 # rarely more than 10.
 WITNESS_ROUNDS = 50
+# Doubles (8 MB) in the Gram temporary of one block of the witness search.
+WITNESS_BLOCK_DOUBLES = 2 ** 20
 # Uncontained states that a containment report lists.
 MAX_FAILURES = 10
 
@@ -91,10 +93,10 @@ def batch_contains(z: Zonotope, points: np.ndarray, tol: float) -> np.ndarray:
     the remaining generators leave a residual within that slack. Witnesses
     start from the clipped least-squares coefficients and are searched by
     active-set least-norm corrections (Stark and Parker's bounded-variable
-    least squares), batched over the undecided points; stragglers are
-    settled by an exact linear program. Every accept carries an explicit
-    coefficient witness, checked on the unscaled generators, so no false
-    accepts arise; a reject comes from the box check or the LP alone.
+    least squares), over blocks of points sized by ``WITNESS_BLOCK_DOUBLES``;
+    stragglers are settled by an exact linear program. Every accept carries
+    an explicit coefficient witness, checked on the unscaled generators, so
+    no false accepts arise; a reject comes from the box check or the LP alone.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -118,13 +120,12 @@ def batch_contains(z: Zonotope, points: np.ndarray, tol: float) -> np.ndarray:
     if not inside_box.any():
         return out
     idx = np.flatnonzero(inside_box)
-    work_r = r[idx]
 
     nonzero = np.count_nonzero(z.generators, axis=0)
     axis = nonzero == 1
     slack = bound * np.abs(z.generators[:, axis]).sum(axis=1) + eq_tol
     if not np.any(nonzero > 1):
-        out[idx] = np.all(np.abs(work_r) <= slack[None, :], axis=1)
+        out[idx] = np.all(np.abs(r[idx]) <= slack[None, :], axis=1)
         return out
 
     # The search solves c + G beta = x over all generators; the witness
@@ -135,26 +136,29 @@ def batch_contains(z: Zonotope, points: np.ndarray, tol: float) -> np.ndarray:
     unit = np.abs(z.generators).max()
     gu = z.generators / unit
     ridge = 1e-10 * np.sum(gu * gu) / z.dim * np.eye(z.dim)
-    beta = np.clip(work_r @ np.linalg.pinv(z.generators).T, -bound, bound)
-    step = np.zeros_like(beta)
-    for _ in range(WITNESS_ROUNDS):
-        residual = beta @ coupled.T - work_r
-        excess = residual - np.clip(residual, -slack, slack)
-        feasible = np.max(np.abs(excess), axis=1) <= eq_tol
-        out[idx[feasible]] = True
-        if feasible.all():
-            return out
-        keep = ~feasible
-        idx, work_r, beta, step = idx[keep], work_r[keep], beta[keep], step[keep]
-        # least-norm correction of the residual on each point's free
-        # coefficients: inside the bounds, or pushed inward last round
-        free = (np.abs(beta) < bound) | (beta * step < 0.0)
-        gram = (free[:, None, :] * gu) @ gu.T + ridge
-        target = beta @ gu.T - work_r / unit
-        step = -(np.linalg.solve(gram, target[:, :, None])[:, :, 0] @ gu)
-        beta = np.clip(beta + np.where(free, step, 0.0), -bound, bound)
-    for pos, k in enumerate(idx):
-        out[k] = _min_inf_norm(z.generators, work_r[pos], eq_tol) <= bound
+    block = max(1, WITNESS_BLOCK_DOUBLES // gu.size)
+    pinv = np.linalg.pinv(z.generators)
+    for lo in range(0, idx.size, block):
+        b_idx, b_r = idx[lo:lo + block], r[idx[lo:lo + block]]
+        beta = np.clip(b_r @ pinv.T, -bound, bound)
+        step = np.zeros_like(beta)
+        for _ in range(WITNESS_ROUNDS):
+            residual = beta @ coupled.T - b_r
+            excess = residual - np.clip(residual, -slack, slack)
+            keep = ~(np.max(np.abs(excess), axis=1) <= eq_tol)
+            out[b_idx[~keep]] = True
+            b_idx, b_r, beta, step = b_idx[keep], b_r[keep], beta[keep], step[keep]
+            if not b_idx.size:
+                break
+            # least-norm correction of the residual on each point's free
+            # coefficients: inside the bounds, or pushed inward last round
+            free = (np.abs(beta) < bound) | (beta * step < 0.0)
+            gram = (free[:, None, :] * gu) @ gu.T + ridge
+            target = beta @ gu.T - b_r / unit
+            step = -(np.linalg.solve(gram, target[:, :, None])[:, :, 0] @ gu)
+            beta = np.clip(beta + np.where(free, step, 0.0), -bound, bound)
+        for pos, k in enumerate(b_idx):
+            out[k] = _min_inf_norm(z.generators, b_r[pos], eq_tol) <= bound
     return out
 
 

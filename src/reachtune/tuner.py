@@ -19,7 +19,7 @@ import numpy as np
 from .reach import (ExponentialAccumulator, LinearSystem, ReachSegment,
                     StepSets, build_step_sets, homogeneous_error,
                     homogeneous_error_floor, minkowski_sum, propagate_step,
-                    propagated_error)
+                    propagated_error, propagated_homogeneous_error)
 from .taylor import MatrixPowers, TaylorSeries, max_taylor_order
 from .zonotope import Zonotope, _cut_ranked_prefix
 
@@ -125,7 +125,7 @@ class _Workspace:
     entry of the homogeneous error floor and a build meter.
 
     All construction of step pieces, from Taylor terms to step sets, is
-    metered in ``build_seconds``, apart from the search around it. Nothing
+    metered in ``build_seconds``, not the search or its scores. Nothing
     built for a candidate outlives its step size's sweep: keeping each step
     size's Taylor series for the run saved no measurable time and held
     about 20 MB at dim 20.
@@ -166,10 +166,10 @@ def tune_step(sys: LinearSystem, acc: ExponentialAccumulator,
     per sweep, until both the homogeneous error and the admissible input
     error accept the candidate; ``retries`` counts every candidate
     evaluated. A candidate whose remainder does not converge, or whose
-    Taylor pieces overflow, is rejected without building any set. The
-    homogeneous error is tested first, so the input sets are built only
-    for candidates that pass the homogeneous cap, around the error set that
-    cap measured. A dt whose certified floor on the homogeneous error
+    Taylor pieces overflow, is rejected without building any set. A score,
+    ``propagated_homogeneous_error``, tests the homogeneous cap without
+    building a set; the error and step sets are built only for a candidate
+    under it. A dt whose certified floor on the homogeneous error
     (``homogeneous_error_floor``), halved to absorb rounding, already
     exceeds the cap is skipped without a sweep: no order could pass there,
     so the accepted step is the same, and the skipped dt adds no retries.
@@ -189,10 +189,10 @@ def tune_step(sys: LinearSystem, acc: ExponentialAccumulator,
                 pieces = workspace.build(series.pieces, eta)
                 if pieces is None:
                     continue
-                hom_set = workspace.build(homogeneous_error, sys, pieces)
-                hom_err = propagated_error(acc, hom_set)
+                hom_err = propagated_homogeneous_error(acc, sys, pieces)
                 if not hom_err <= budget.hom_max:
                     continue
+                hom_set = workspace.build(homogeneous_error, sys, pieces)
                 sets = workspace.build(build_step_sets, sys, pieces, hom_set)
                 input_err = propagated_error(acc, sets.inh_error)
                 if (input_err <= admissible

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -10,7 +10,7 @@ from reachtune.intervals import IntervalMatrix
 from reachtune.reach import (ExponentialAccumulator, LinearSystem,
                              build_step_sets, homogeneous_error,
                              homogeneous_error_floor, propagate_step,
-                             propagated_error)
+                             propagated_error, propagated_homogeneous_error)
 from reachtune.taylor import (MatrixPowers, TaylorSeries, convergence_ratio,
                               max_taylor_order, taylor_partial_sum,
                               truncation_remainder)
@@ -114,6 +114,38 @@ def test_homogeneous_error_floor_bounds_every_order(n, log_scale, seed,
                 continue
             error = propagated_error(acc, homogeneous_error(sys, pieces))
             assert rate * dt * dt <= error
+            # and the score the step search compares with its cap
+            score = propagated_homogeneous_error(acc, sys, pieces)
+            assert score == pytest.approx(error, rel=1e-12, abs=0.0)
+            assert rate * dt * dt <= score
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), eta=st.integers(1, 6), steps=st.integers(0, 5),
+       seed=st.integers(0, 2**32 - 1), zero_input=st.booleans(),
+       log_dt=st.floats(-3.0, -1.0))
+def test_propagated_homogeneous_error_matches_its_set(n, eta, steps, seed,
+                                                     zero_input, log_dt):
+    # the closed form equals the enclosure radius of the mapped error set,
+    # under the identity (zero radius) and under accumulators advanced by
+    # random steps (nonzero radius)
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 2.0, (n, n))
+    x0 = Zonotope(rng.uniform(-5.0, 5.0, n),
+                  rng.uniform(-1.0, 1.0, (n, int(rng.integers(1, 2 * n + 1)))))
+    u_c = np.zeros(n) if zero_input else rng.uniform(-2.0, 2.0, n)
+    sys = LinearSystem(a, x0, Zonotope(u_c, 0.05 * np.eye(n)), 1.0)
+    acc = ExponentialAccumulator.identity(n)
+    for _ in range(steps):
+        step = TaylorSeries(a, float(rng.uniform(0.01, 0.1))).pieces(
+            int(rng.integers(1, 5)))
+        acc = acc.advanced(step.partial_sum, step.remainder)
+    assert acc.enclosure.rad.any() == (steps > 0)
+    pieces = TaylorSeries(a, 10.0 ** log_dt).pieces(eta)
+    assume(pieces is not None)
+    reference = propagated_error(acc, homogeneous_error(sys, pieces))
+    assert propagated_homogeneous_error(acc, sys, pieces) == pytest.approx(
+        reference, rel=1e-12, abs=0.0)
 
 
 def test_inhomogeneous_step_no_input():

@@ -153,6 +153,36 @@ def test_near_boundary_verdicts_agree_with_the_lp(monkeypatch):
                 assert flag == (beta_norm <= 1.0 + 1e-6)
 
 
+@pytest.mark.parametrize("points_per_block", [1, 4])
+def test_witness_search_in_blocks_keeps_every_verdict(points_per_block,
+                                                      monkeypatch):
+    # the search over blocks of a few points reaches the verdicts, and sends
+    # the same points to the LP, as over one block of all points
+    rng = np.random.default_rng(5)
+    calls = counting_lp(monkeypatch)
+    one_block = sampling.WITNESS_BLOCK_DOUBLES
+    lp_points = 0
+    for _ in range(12):
+        n = int(rng.integers(2, 9))
+        g = np.hstack((rng.normal(size=(n, int(rng.integers(n, 8 * n)))),
+                       0.2 * np.eye(n)[:, :int(rng.integers(0, n + 1))]))
+        z = Zonotope(rng.normal(size=n), g)
+        signs = rng.choice([-1.0, 1.0], size=(8, g.shape[1]))
+        pts = z.center + np.vstack([s * signs @ g.T for s in (0.99, 1.0, 1.01)])
+        verdicts, sent = [], []
+        for doubles in (one_block, points_per_block * g.size):
+            monkeypatch.setattr(sampling, "WITNESS_BLOCK_DOUBLES", doubles)
+            before = len(calls)
+            verdicts.append(batch_contains(z, pts, tol=1e-6))
+            sent.append([args[1] for args in calls[before:]])
+        np.testing.assert_array_equal(verdicts[1], verdicts[0])
+        assert len(sent[1]) == len(sent[0])
+        for r_blocks, r_whole in zip(*sent):
+            np.testing.assert_array_equal(r_blocks, r_whole)
+        lp_points += len(sent[0])
+    assert lp_points > 0  # 5 of the 288 points need the LP
+
+
 def test_fixed_baseline_containment_needs_no_lp(monkeypatch):
     # the witness search settles every state of a fixed-parameter run; a
     # change that sends states to the LP would show here before it shows

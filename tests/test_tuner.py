@@ -527,6 +527,30 @@ def test_run_zero_homogeneous_weight_fails_without_sweeping(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("dim, steps", [(5, 44), (20, 93)])
+def test_search_builds_error_sets_only_for_candidates_under_the_cap(
+        dim, steps, monkeypatch):
+    # candidates are scored without building a set: the homogeneous error
+    # set is built once per step-set construction, here once per step, not
+    # once per candidate (the runs evaluate 506 and 1071 candidates)
+    built = Counter()
+
+    def counted(name):
+        original = getattr(tuner, name)
+
+        def call(*args):
+            built[name] += 1
+            return original(*args)
+        monkeypatch.setattr(tuner, name, call)
+
+    counted("homogeneous_error")
+    counted("build_step_sets")
+    result = run(random_system(dim, 1), eps_max=0.05)
+    assert result.steps == steps
+    assert built["homogeneous_error"] == built["build_step_sets"] == steps
+    assert sum(r.retries for r in result.ledger.records) > 5 * steps
+
+
 def test_step_sets_reuse_the_searched_homogeneous_error(monkeypatch):
     # each accepted step carries the very error set its homogeneous cap
     # measured: the step sets are built around it, not from scratch again
