@@ -26,7 +26,8 @@ from .reach import (LinearSystem, ReachSegment, StepSets, build_step_sets,
                     propagated_homogeneous_error)
 from .taylor import MAX_ORDER_CAP, TaylorPieces, TaylorSeries, convergence_ratio
 from .tuner import DEFAULT_WEIGHTS, ReachResult, TunedStep, _step_through, run
-from .zonotope import Zonotope, interval_hull, reduce_order, support
+from .zonotope import (Zonotope, _halfwidths, interval_hull, reduce_order,
+                       support)
 
 
 class ModelError(ValueError):
@@ -335,21 +336,39 @@ def check_specs(segments, specs) -> list[SpecVerdict]:
     """Evaluate each halfspace spec against every segment.
 
     A spec passes when ``support(set, direction) <= bound`` on all segments;
-    otherwise the verdict names the first violating segment.
+    otherwise the verdict names the first violating segment. One product per
+    segment screens every spec: ``D c + sum_j |D g_j|``, with the directions
+    stacked as the rows of ``D``. Its values and ``support``'s can differ in
+    the last bits; each lies within ``k * 2**-53 * |d| (|c| + sum_j |g_j|)``
+    of the exact support, for ``k`` the dimension plus the generator count
+    plus 2 (the error bound of that many summed terms, in any order). So
+    ``support`` decides a spec only where its screened value comes within
+    twice the sum of both bounds of the spec's bound, and every verdict and
+    value is ``support``'s.
     """
     if isinstance(segments, ReachResult):
         segments = segments.segments
-    verdicts = []
-    for spec in specs:
-        verdict = SpecVerdict(spec.name, True, bound=spec.bound)
-        for i, seg in enumerate(segments):
-            value = support(seg.set, spec.direction)
-            if value > spec.bound:
-                verdict = SpecVerdict(spec.name, False, violating_index=i,
-                                      violating_time=seg.t_lo,
-                                      support_value=value, bound=spec.bound)
-                break
-        verdicts.append(verdict)
+    specs = list(specs)
+    verdicts = [SpecVerdict(spec.name, True, bound=spec.bound) for spec in specs]
+    if not (specs and segments):
+        return verdicts
+    directions = np.stack([spec.direction for spec in specs])
+    bounds = np.array([spec.bound for spec in specs])
+    undecided = np.ones(len(specs), dtype=bool)
+    for i, seg in enumerate(segments):
+        z = seg.set
+        values = directions @ z.center + np.abs(directions @ z.generators).sum(axis=1)
+        slack = (2 * np.finfo(float).eps * (z.dim + z.num_generators + 2)
+                 * (np.abs(directions) @ (np.abs(z.center) + _halfwidths(z))))
+        for k in np.flatnonzero(undecided & (values + slack > bounds)):
+            value = support(z, specs[k].direction)
+            if value > specs[k].bound:
+                verdicts[k] = SpecVerdict(specs[k].name, False, violating_index=i,
+                                          violating_time=seg.t_lo,
+                                          support_value=value, bound=specs[k].bound)
+                undecided[k] = False
+        if not undecided.any():
+            break
     return verdicts
 
 

@@ -104,14 +104,6 @@ class ExponentialAccumulator:
             raise ValueError("enclosure of exp(A t) overflowed")
         return ExponentialAccumulator(enclosure)
 
-    def min_gain(self) -> float:
-        """Lower bound on ``||mid(enclosure) x|| / ||x||``: the smallest
-        singular value, less its floating-point error (a small multiple of
-        ``n * eps`` times the largest, by Weyl's inequality)."""
-        s = np.linalg.svd(self.enclosure.mid, compute_uv=False)
-        slack = 2 * s.size * np.finfo(float).eps * s[0]
-        return max(float(s[-1] - slack), 0.0)
-
 
 def homogeneous_error(sys: LinearSystem, pieces: TaylorPieces) -> Zonotope:
     """Error part of the step-window solution without the time-varying input:
@@ -122,30 +114,50 @@ def homogeneous_error(sys: LinearSystem, pieces: TaylorPieces) -> Zonotope:
         interval_map(pieces.correction, Zonotope.point(sys.input_set.center)))
 
 
-def homogeneous_error_floor(sys: LinearSystem) -> float:
-    """``max(v)``, where ``dt**2 * v`` is a floor on the homogeneous error
-    set's box corner.
+def homogeneous_error_floor(sys: LinearSystem) -> np.ndarray:
+    """``v``, where ``dt**2 * v`` is an entrywise floor on the box halfwidths
+    of the homogeneous error set.
 
     At every step size and order ``eta >= 1`` the set ``E`` that
-    ``homogeneous_error`` returns has ``|c| + sum_j |g_j| >= dt**2 * v``
+    ``homogeneous_error`` returns has box halfwidths ``h >= dt**2 * v``
     entrywise, with ``v = (|A^2| (|c_X0| + sum_j |g_X0,j|) + |A| |c_U|) / 16``:
     the curvature enclosure's radius is at least that of its k = 2 term,
     ``dt**2 |A^2| / 16`` (at eta = 1 the remainder ``|A|^2 dt^2 / 2 / (1 -
     zeta)`` is larger still), the correction's radius is at least
-    ``dt**2 |A| / 16``, and ``interval_map`` turns those radii into box
-    halfwidths of ``E``. The point of ``E`` that attains its largest
-    coordinate keeps at least ``sigma_min(M)`` of its length under a point
-    matrix ``M``, so the search's score ``propagated_homogeneous_error`` obeys
-
-        propagated_error(acc, E) >= sigma_min(mid(acc.enclosure)) * dt**2 * max(v).
-
-    ``ExponentialAccumulator.min_gain`` gives the ``sigma_min`` factor.
+    ``dt**2 |A| / 16``, and ``interval_map`` turns those radii into the
+    halfwidths ``h``. ``homogeneous_floor_rate`` carries the floor to the
+    current time.
     """
     a = sys.a
     x0 = sys.initial_set
     corner = np.abs(x0.center) + np.abs(x0.generators).sum(axis=1)
-    v = (np.abs(a @ a) @ corner + np.abs(a) @ np.abs(sys.input_set.center)) / 16.0
-    return float(v.max())
+    return (np.abs(a @ a) @ corner + np.abs(a) @ np.abs(sys.input_set.center)) / 16.0
+
+
+# Relative rounding margin of ``homogeneous_floor_rate``.
+_FLOOR_MARGIN = 1.0 - 1e-9
+
+
+def homogeneous_floor_rate(acc: ExponentialAccumulator, v: np.ndarray) -> float:
+    """``||(|M| + R) v||_2``, less a rounding margin, where ``M`` and ``R``
+    are the midpoint and radius of ``acc.enclosure`` and ``v`` is
+    ``homogeneous_error_floor(sys)``: at every step size ``dt`` and order
+
+        rate * dt**2 <= propagated_homogeneous_error(acc, sys, pieces).
+
+    That score is the norm of a corner vector whose terms are all
+    nonnegative, among them ``|M| h`` and ``R h`` for the error set's
+    halfwidths ``h >= dt**2 v``; so the corner is at least
+    ``dt**2 (|M| + R) v`` entrywise, and the norm is monotone on nonnegative
+    vectors. The floor and the score's ``(|M| + R) h`` part are computed as
+    sums and products of nonnegative numbers, to which the score only adds
+    nonnegative terms, and a sum of ``k`` such numbers is within a relative
+    ``k * 2**-53`` of its exact value in any order; the margin of ``1e-9``
+    covers that for ``k`` (about the dimension plus the generator count) up
+    to 10**6, away from underflow.
+    """
+    m, r = acc.enclosure.mid, acc.enclosure.rad
+    return _FLOOR_MARGIN * float(np.linalg.norm((np.abs(m) + r) @ v))
 
 
 def build_step_sets(sys: LinearSystem, pieces: TaylorPieces,

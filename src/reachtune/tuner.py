@@ -18,8 +18,9 @@ import numpy as np
 
 from .reach import (ExponentialAccumulator, LinearSystem, ReachSegment,
                     StepSets, build_step_sets, homogeneous_error,
-                    homogeneous_error_floor, minkowski_sum, propagate_step,
-                    propagated_error, propagated_homogeneous_error)
+                    homogeneous_error_floor, homogeneous_floor_rate,
+                    minkowski_sum, propagate_step, propagated_error,
+                    propagated_homogeneous_error)
 from .taylor import MatrixPowers, TaylorSeries, max_taylor_order
 from .zonotope import Zonotope, _cut_ranked_prefix
 
@@ -121,8 +122,8 @@ class TunedStep:
 
 
 class _Workspace:
-    """Per-run state: matrix powers, order caps by step size, the largest
-    entry of the homogeneous error floor and a build meter.
+    """Per-run state: matrix powers, order caps by step size, the vector
+    ``homogeneous_error_floor`` and a build meter.
 
     All construction of step pieces, from Taylor terms to step sets, is
     metered in ``build_seconds``, not the search or its scores. Nothing
@@ -169,12 +170,12 @@ def tune_step(sys: LinearSystem, acc: ExponentialAccumulator,
     Taylor pieces overflow, is rejected without building any set. A score,
     ``propagated_homogeneous_error``, tests the homogeneous cap without
     building a set; the error and step sets are built only for a candidate
-    under it. A dt whose certified floor on the homogeneous error
-    (``homogeneous_error_floor``), halved to absorb rounding, already
-    exceeds the cap is skipped without a sweep: no order could pass there,
-    so the accepted step is the same, and the skipped dt adds no retries.
+    under it. A dt whose certified floor on that score,
+    ``homogeneous_floor_rate * dt**2``, already exceeds the cap is skipped
+    without a sweep: no order could pass there, so the accepted step is the
+    same, and the skipped dt adds no retries.
     """
-    floor_rate = 0.5 * acc.min_gain() * workspace.hom_floor
+    floor_rate = homogeneous_floor_rate(acc, workspace.hom_floor)
     remaining = sys.horizon - t
     dt = (min(ledger.records[-1].dt / _SHRINK, remaining) if ledger.records
           else remaining)

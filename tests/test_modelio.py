@@ -9,9 +9,9 @@ from reachtune.modelio import (ModelError, SafetySpec, check_specs,
                                load_model, random_system, read_report,
                                read_result, run_adaptive, run_fixed_baseline,
                                save_model, write_report, write_result)
-from reachtune.reach import LinearSystem
+from reachtune.reach import LinearSystem, ReachSegment
 from reachtune.tuner import run
-from reachtune.zonotope import Zonotope, interval_hull
+from reachtune.zonotope import Zonotope, interval_hull, support
 
 
 def test_model_round_trip(tmp_path):
@@ -183,6 +183,44 @@ def test_check_specs_static_example():
     assert verdicts[1].violating_index == 0
     assert verdicts[1].support_value == pytest.approx(10.25)
     assert verdicts[2].satisfied
+
+
+def test_check_specs_gives_the_verdicts_of_support_per_spec():
+    # the one-product screen reports what a per-spec, per-segment support
+    # loop reports, index, time and value alike, with bounds placed within
+    # a few ulps of a segment's support, where the two sums can disagree
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        n = int(rng.integers(1, 25))
+        segments = [ReachSegment(0.1 * i, 0.1 * (i + 1), Zonotope(
+            10.0 ** rng.uniform(-3, 3) * rng.standard_normal(n),
+            rng.standard_normal((n, int(rng.integers(0, 50))))))
+            for i in range(int(rng.integers(1, 10)))]
+        specs = []
+        for k in range(int(rng.integers(1, 10))):
+            d = rng.standard_normal(n)
+            b = support(segments[int(rng.integers(len(segments)))].set, d)
+            specs.append(SafetySpec(f"s{k}", d,
+                                    b + int(rng.integers(-3, 4)) * np.spacing(b)))
+        expected = []
+        for spec in specs:
+            values = [support(seg.set, spec.direction) for seg in segments]
+            first = next((i for i, v in enumerate(values) if v > spec.bound), None)
+            expected.append((first is None, first,
+                             None if first is None else segments[first].t_lo,
+                             None if first is None else values[first]))
+        got = [(v.satisfied, v.violating_index, v.violating_time, v.support_value)
+               for v in check_specs(segments, specs)]
+        assert got == expected
+
+
+def test_check_specs_empty_segments_or_specs():
+    spec = SafetySpec("x", [1.0, 0.0], -1e9)
+    verdicts = check_specs([], [spec])
+    assert [(v.name, v.satisfied, v.violating_index) for v in verdicts] == [
+        ("x", True, None)]
+    segment = ReachSegment(0.0, 1.0, Zonotope.point([1.0, 1.0]))
+    assert check_specs([segment], []) == []
 
 
 def test_baseline_single_step_and_clamping():

@@ -9,8 +9,9 @@ from scipy.linalg import expm
 from reachtune.intervals import IntervalMatrix
 from reachtune.reach import (ExponentialAccumulator, LinearSystem,
                              build_step_sets, homogeneous_error,
-                             homogeneous_error_floor, propagate_step,
-                             propagated_error, propagated_homogeneous_error)
+                             homogeneous_error_floor, homogeneous_floor_rate,
+                             propagate_step, propagated_error,
+                             propagated_homogeneous_error)
 from reachtune.taylor import (MatrixPowers, TaylorSeries, convergence_ratio,
                               max_taylor_order, taylor_partial_sum,
                               truncation_remainder)
@@ -83,14 +84,16 @@ def test_homogeneous_error_shrinks_with_dt():
     assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(n=st.integers(1, 6), log_scale=st.floats(-2.0, 2.0),
        seed=st.integers(0, 2**32 - 1), interval_acc=st.booleans(),
        log_dts=st.lists(st.floats(-4.0, 0.0), min_size=1, max_size=3))
 def test_homogeneous_error_floor_bounds_every_order(n, log_scale, seed,
                                                     interval_acc, log_dts):
-    # min_gain * max(v) * dt^2 is a lower bound on the propagated
-    # homogeneous error at every order that converges and stays finite
+    # homogeneous_floor_rate * dt^2 is a lower bound on the propagated
+    # homogeneous error, and on the search's score for it, at every order
+    # that converges and stays finite; and the rate is never below the
+    # sigma_min(mid) * max(v) rate of the SVD-based floor it replaced
     rng = np.random.default_rng(seed)
     a = 10.0 ** log_scale * rng.uniform(-1.0, 1.0, (n, n))
     x0 = Zonotope(rng.uniform(-5.0, 5.0, n),
@@ -104,7 +107,11 @@ def test_homogeneous_error_floor_bounds_every_order(n, log_scale, seed,
         acc = ExponentialAccumulator(IntervalMatrix(mid - rad, mid + rad))
     else:
         acc = ExponentialAccumulator.identity(n)
-    rate = acc.min_gain() * homogeneous_error_floor(sys)
+    v = homogeneous_error_floor(sys)
+    rate = homogeneous_floor_rate(acc, v)
+    s = np.linalg.svd(acc.enclosure.mid, compute_uv=False)
+    sigma_min = max(float(s[-1] - 2 * n * np.finfo(float).eps * s[0]), 0.0)
+    assert rate >= (1 - 1e-9) * sigma_min * float(v.max())
     powers = MatrixPowers(a)
     for dt in (10.0 ** x for x in log_dts):
         series = TaylorSeries(powers, dt)

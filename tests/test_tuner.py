@@ -480,16 +480,16 @@ def stiff_system(lam):
 def test_run_stiff_search_evaluates_pinned_candidates():
     # the (dt, eta) sweep on the stiff model: any change to which
     # candidates the search evaluates shows here. The homogeneous error
-    # floor skips the first step's hopeless step sizes (the blind sweep
-    # evaluated 1469 candidates there and 1639 in all) without moving the
-    # accepted step.
+    # floor skips the hopeless step sizes without moving the accepted step
+    # (the blind sweep evaluated 1469 candidates in the first step and 1639
+    # in all, the floor sigma_min(mid) * max(v) 83 and 248)
     result = run(stiff_system(100.0), eps_max=0.05)
     records = result.ledger.records
     retries = [r.retries for r in records]
     assert result.steps == 25
     assert records[0].dt == 0.003232579099291748
-    assert retries[0] == 83
-    assert sum(retries) == 248
+    assert retries[0] == 35
+    assert sum(retries) == 200
     assert [r.taylor_order for r in records] == [
         3, 3, 3, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 3, 2, 3, 3, 4, 6, 3, 5, 2, 5, 1]
 
@@ -527,12 +527,39 @@ def test_run_zero_homogeneous_weight_fails_without_sweeping(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("system", ["random-2-1", "random-10-1", "random-20-1",
+                                    "stiff"])
+def test_homogeneous_error_floor_skips_only_what_no_order_passes(system,
+                                                                 monkeypatch):
+    # with the floor at zero the search sweeps every step size; the floor
+    # skips step sizes only, so the segments and the ledger stay the same
+    sys = {"random-2-1": random_system(2, 1), "random-10-1": random_system(10, 1),
+           "random-20-1": random_system(20, 1), "stiff": stiff_system(100.0)}[system]
+    floored = run(sys, eps_max=0.05)
+    monkeypatch.setattr(tuner, "homogeneous_error_floor",
+                        lambda sys: np.zeros(sys.dim))
+    swept = run(sys, eps_max=0.05)
+    assert len(floored.segments) == len(swept.segments)
+    for a, b in zip(floored.segments, swept.segments):
+        assert (a.t_lo, a.t_hi) == (b.t_lo, b.t_hi)
+        np.testing.assert_array_equal(a.set.center, b.set.center)
+        np.testing.assert_array_equal(a.set.generators, b.set.generators)
+    errors = ("dt", "taylor_order", "hom_error", "input_error", "reduction_error")
+    for a, b in zip(floored.ledger.records, swept.ledger.records):
+        assert [getattr(a, f) for f in errors] == [getattr(b, f) for f in errors]
+        assert a.retries <= b.retries
+    assert (floored.ledger.input_acc, floored.ledger.reduction_acc) == (
+        swept.ledger.input_acc, swept.ledger.reduction_acc)
+    assert sum(r.retries for r in floored.ledger.records) < sum(
+        r.retries for r in swept.ledger.records)
+
+
 @pytest.mark.parametrize("dim, steps", [(5, 44), (20, 93)])
 def test_search_builds_error_sets_only_for_candidates_under_the_cap(
         dim, steps, monkeypatch):
     # candidates are scored without building a set: the homogeneous error
     # set is built once per step-set construction, here once per step, not
-    # once per candidate (the runs evaluate 506 and 1071 candidates)
+    # once per candidate (the runs evaluate 463 and 784 candidates)
     built = Counter()
 
     def counted(name):
