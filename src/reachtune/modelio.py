@@ -21,10 +21,10 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .reach import (LinearSystem, ReachSegment, StepSets, build_step_sets,
-                    homogeneous_error, propagated_error,
-                    propagated_homogeneous_error)
-from .taylor import MAX_ORDER_CAP, TaylorPieces, TaylorSeries, convergence_ratio
+from .reach import (LinearSystem, ReachSegment, propagated_homogeneous_error,
+                    propagated_input_error)
+from .taylor import (MAX_ORDER_CAP, MatrixPowers, TaylorPieces, TaylorSeries,
+                     convergence_ratio)
 from .tuner import DEFAULT_WEIGHTS, ReachResult, TunedStep, _step_through, run
 from .zonotope import (Zonotope, _halfwidths, interval_hull, reduce_order,
                        support)
@@ -277,12 +277,8 @@ class RunReport:
 
 def report_from_result(result: ReachResult, dimension: int) -> RunReport:
     records = result.ledger.records
-    budget = None
-    if result.budget is not None:
-        budget = {"hom_max": result.budget.hom_max,
-                  "input_max": result.budget.input_max,
-                  "reduction_max": result.budget.reduction_max,
-                  "total": result.budget.total}
+    budget = (None if result.budget is None
+              else {**asdict(result.budget), "total": result.budget.total})
     return RunReport(
         dimension=dimension,
         steps=result.steps,
@@ -395,11 +391,11 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
     """Same pipeline with tuning disabled: fixed step, order and set order.
 
     ``run`` and this baseline share one stepping loop, whose clock gives
-    the wall time; only the choice of each step and the reduction differ.
-    Errors are still tracked in the ledger but no budget is enforced, so the
-    reported totals are informational only. The final step is clamped to
-    the horizon when ``dt`` does not divide it, and a leftover below 1e-9 is
-    absorbed into the last step.
+    the wall time and which builds each width's step sets once; only the
+    choice of each step and the reduction differ. Errors are tracked in the
+    ledger but no budget is enforced, so the totals are informational only.
+    The final step is clamped to the horizon when ``dt`` does not divide
+    it, and a leftover below 1e-9 is absorbed into the last step.
     """
     _require(dt > 0 and math.isfinite(dt), f"baseline dt must be positive, got {dt}")
     _require(eta >= 1, f"baseline eta must be >= 1, got {eta}")
@@ -407,26 +403,23 @@ def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
              f"baseline eta must be <= {MAX_ORDER_CAP}, got {eta}")
     _require(rho >= 1, f"baseline rho must be >= 1, got {rho}")
     horizon = system.horizon
-    cache: dict[float, tuple[TaylorPieces, StepSets]] = {}
+    powers = MatrixPowers(system.a)
+    cache: dict[float, TaylorPieces] = {}
 
-    def choose(_system, acc, _budget, _ledger, t, _workspace):
+    def choose(acc, _ledger, t):
         width = dt
         if t + dt >= horizon * (1.0 - 1e-12) or horizon - (t + dt) < 1e-9:
             width = horizon - t
         if width not in cache:
-            _require(convergence_ratio(system.a, width, eta) < 1.0,
+            _require(convergence_ratio(powers, width, eta) < 1.0,
                      f"Taylor remainder does not converge at dt={width:.3g}, "
                      f"eta={eta}: raise eta or lower dt")
-            pieces = TaylorSeries(system.a, width).pieces(eta)
-            _require(pieces is not None,
+            cache[width] = TaylorSeries(powers, width).pieces(eta)
+            _require(cache[width] is not None,
                      f"Taylor terms overflow at dt={width:.3g}, eta={eta}")
-            cache[width] = pieces, build_step_sets(
-                system, pieces, homogeneous_error(system, pieces))
-        pieces, sets = cache[width]
-        return TunedStep(width, eta, sets,
-                         hom_error=propagated_homogeneous_error(acc, system, pieces),
-                         input_error=propagated_error(acc, sets.inh_error),
-                         retries=0)
+        pieces = cache[width]
+        return TunedStep(pieces, propagated_homogeneous_error(acc, system, pieces),
+                         propagated_input_error(acc, system, pieces), retries=0)
 
     def reduce(p_next, *_):
         return reduce_order(p_next, rho)

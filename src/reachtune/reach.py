@@ -56,7 +56,7 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class StepSets:
-    """Local reachable-set pieces for one candidate step.
+    """Local reachable-set pieces of one step, built by the stepping loop.
 
     ``hom_exact`` carries the step's constant-input drift inside the hull;
     ``inh_exact`` is the full local input solution used for accumulation
@@ -69,8 +69,6 @@ class StepSets:
     hom_error: Zonotope
     inh_exact: Zonotope
     inh_error: Zonotope
-    propagator: np.ndarray
-    remainder: IntervalMatrix
 
     @property
     def inh_centered(self) -> Zonotope:
@@ -156,13 +154,17 @@ def homogeneous_floor_rate(acc: ExponentialAccumulator, v: np.ndarray) -> float:
     covers that for ``k`` (about the dimension plus the generator count) up
     to 10**6, away from underflow.
     """
+    return _FLOOR_MARGIN * _propagated_box_radius(acc, v)
+
+
+def _propagated_box_radius(acc: ExponentialAccumulator, h: np.ndarray) -> float:
+    """``||(|M| + R) h||_2``: ``propagated_error`` of the box ``[-h, h]``."""
     m, r = acc.enclosure.mid, acc.enclosure.rad
-    return _FLOOR_MARGIN * float(np.linalg.norm((np.abs(m) + r) @ v))
+    return float(np.linalg.norm((np.abs(m) + r) @ h))
 
 
-def build_step_sets(sys: LinearSystem, pieces: TaylorPieces,
-                    hom_error: Zonotope) -> StepSets:
-    """All local pieces for one candidate step, around its homogeneous error
+def build_step_sets(sys: LinearSystem, pieces: TaylorPieces) -> StepSets:
+    """All local pieces of one step, around its homogeneous error
     ``homogeneous_error(sys, pieces)``.
 
     Step window without the time-varying input: the exact part is the hull
@@ -182,10 +184,10 @@ def build_step_sets(sys: LinearSystem, pieces: TaylorPieces,
     endpoint = Zonotope(w @ sys.initial_set.center + drift,
                         w @ sys.initial_set.generators)
     return StepSets(
-        hom_exact=hull_of(sys.initial_set, endpoint), hom_error=hom_error,
+        hom_exact=hull_of(sys.initial_set, endpoint),
+        hom_error=homogeneous_error(sys, pieces),
         inh_exact=linear_map(pieces.input_propagator, sys.input_set),
-        inh_error=interval_map(pieces.remainder.scale(pieces.dt), sys.input_set),
-        propagator=w, remainder=pieces.remainder)
+        inh_error=interval_map(pieces.remainder.scale(pieces.dt), sys.input_set))
 
 
 def propagate_step(acc: ExponentialAccumulator, sets: StepSets,
@@ -223,6 +225,16 @@ def propagated_homogeneous_error(acc: ExponentialAccumulator, sys: LinearSystem,
     corner = (np.abs(m @ c) + np.abs(m @ g).sum(axis=1) + np.abs(m) @ h
               + r @ (np.abs(c) + np.abs(g).sum(axis=1) + h))
     return float(np.linalg.norm(corner))
+
+
+def propagated_input_error(acc: ExponentialAccumulator, sys: LinearSystem,
+                           pieces: TaylorPieces) -> float:
+    """``propagated_error(acc, build_step_sets(sys, pieces).inh_error)``, no
+    set built: that set is the box of halfwidths ``h = (rad(E) dt) (|c_U| +
+    sum_j |g_U,j|)`` around the origin, since ``E`` is centred at zero."""
+    u = sys.input_set
+    h = (pieces.remainder.rad * pieces.dt) @ (np.abs(u.center) + _halfwidths(u))
+    return _propagated_box_radius(acc, h)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .reach import (ExponentialAccumulator, LinearSystem, ReachSegment,
-                    StepSets, build_step_sets, homogeneous_error,
-                    homogeneous_error_floor, homogeneous_floor_rate,
-                    minkowski_sum, propagate_step, propagated_error,
-                    propagated_homogeneous_error)
-from .taylor import MatrixPowers, TaylorSeries, max_taylor_order
+                    build_step_sets, homogeneous_error_floor,
+                    homogeneous_floor_rate, minkowski_sum, propagate_step,
+                    propagated_homogeneous_error, propagated_input_error)
+from .taylor import MatrixPowers, TaylorPieces, TaylorSeries, max_taylor_order
 from .zonotope import Zonotope, _cut_ranked_prefix
 
 DEFAULT_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -113,23 +112,20 @@ def admissible_share(remaining: float, dt: float, t: float,
 
 @dataclass(frozen=True)
 class TunedStep:
-    dt: float
-    eta: int
-    sets: StepSets
+    pieces: TaylorPieces
     hom_error: float
     input_error: float
     retries: int
 
 
 class _Workspace:
-    """Per-run state: matrix powers, order caps by step size, the vector
-    ``homogeneous_error_floor`` and a build meter.
+    """Per-run state of the step search: matrix powers, order caps by step
+    size, the vector ``homogeneous_error_floor`` and a build meter.
 
-    All construction of step pieces, from Taylor terms to step sets, is
-    metered in ``build_seconds``, not the search or its scores. Nothing
-    built for a candidate outlives its step size's sweep: keeping each step
-    size's Taylor series for the run saved no measurable time and held
-    about 20 MB at dim 20.
+    Only the search's Taylor construction is metered in ``build_seconds``.
+    Nothing built for a candidate outlives its step size's sweep: keeping
+    each step size's Taylor series for the run saved no measurable time and
+    held about 20 MB at dim 20.
     """
 
     def __init__(self, sys: LinearSystem):
@@ -141,18 +137,15 @@ class _Workspace:
     def build(self, construct, *args):
         """``construct(*args)``, its time added to ``build_seconds``."""
         mark = time.perf_counter()
-        try:
-            return construct(*args)
-        finally:
-            self.build_seconds += time.perf_counter() - mark
+        built = construct(*args)
+        self.build_seconds += time.perf_counter() - mark
+        return built
 
     def order_cap(self, series: TaylorSeries) -> int:
         """Cut-off order at the series' step size, read from its partial sums."""
-        cap = self._caps.get(series.dt)
-        if cap is None:
-            cap = max_taylor_order(series, series.dt)
-            self._caps[series.dt] = cap
-        return cap
+        if series.dt not in self._caps:
+            self._caps[series.dt] = max_taylor_order(series, series.dt)
+        return self._caps[series.dt]
 
 
 def tune_step(sys: LinearSystem, acc: ExponentialAccumulator,
@@ -160,20 +153,16 @@ def tune_step(sys: LinearSystem, acc: ExponentialAccumulator,
               workspace: _Workspace) -> TunedStep:
     """Find ``(dt, eta)`` meeting both per-step bounds at time ``t``.
 
-    Starts from the previous step (``ledger.records[-1].dt``) enlarged once
-    by ``1/0.9``, or the remaining horizon ``T - t`` if that is smaller, so
-    no candidate passes the horizon; the first step starts at ``T``. At each
-    dt it raises the order from 1 up to its cut-off, then shrinks dt by 0.9
-    per sweep, until both the homogeneous error and the admissible input
-    error accept the candidate; ``retries`` counts every candidate
-    evaluated. A candidate whose remainder does not converge, or whose
-    Taylor pieces overflow, is rejected without building any set. A score,
-    ``propagated_homogeneous_error``, tests the homogeneous cap without
-    building a set; the error and step sets are built only for a candidate
-    under it. A dt whose certified floor on that score,
-    ``homogeneous_floor_rate * dt**2``, already exceeds the cap is skipped
-    without a sweep: no order could pass there, so the accepted step is the
-    same, and the skipped dt adds no retries.
+    The first dt is the previous step's enlarged once by ``1/0.9``, or the
+    remaining horizon ``T - t`` if smaller (the first step starts at ``T``),
+    so no candidate passes the horizon. Each dt is swept from order 1 to its
+    cut-off, then shrunk by 0.9, until a candidate passes the homogeneous
+    cap and the admissible input error; ``retries`` counts every candidate.
+    A dt whose certified floor ``homogeneous_floor_rate * dt**2`` exceeds
+    the cap is skipped: no order could pass, so it adds no retries and the
+    accepted step is the same. A candidate whose remainder diverges or whose
+    pieces overflow is rejected; the others are scored in closed form, the
+    input error only under the cap, so the search builds no set.
     """
     floor_rate = homogeneous_floor_rate(acc, workspace.hom_floor)
     remaining = sys.horizon - t
@@ -193,12 +182,10 @@ def tune_step(sys: LinearSystem, acc: ExponentialAccumulator,
                 hom_err = propagated_homogeneous_error(acc, sys, pieces)
                 if not hom_err <= budget.hom_max:
                     continue
-                hom_set = workspace.build(homogeneous_error, sys, pieces)
-                sets = workspace.build(build_step_sets, sys, pieces, hom_set)
-                input_err = propagated_error(acc, sets.inh_error)
+                input_err = propagated_input_error(acc, sys, pieces)
                 if (input_err <= admissible
                         and ledger.input_acc + input_err <= budget.input_max):
-                    return TunedStep(dt, eta, sets, hom_err, input_err, retries)
+                    return TunedStep(pieces, hom_err, input_err, retries)
         dt *= _SHRINK
         if dt < sys.horizon * _DT_UNDERFLOW:
             raise TuningFailedError(
@@ -224,42 +211,46 @@ def reduce_accumulated(p_accum: Zonotope, budget: ErrorBudget,
     return _cut_ranked_prefix(p_accum, longest_within_budget)
 
 
-def _step_through(sys: LinearSystem, choose, reduce, budget=None, workspace=None
+def _step_through(sys: LinearSystem, choose, reduce
                   ) -> tuple[list[ReachSegment], ErrorLedger, float, float]:
     """The stepping loop, and its one clock, of both the adaptive and the
     fixed-parameter run.
 
-    ``choose`` and ``reduce`` take the arguments of ``tune_step`` and
-    ``reduce_accumulated``, with ``budget`` and ``workspace`` as passed here.
-    Each step propagates the chosen step sets, reduces, records the segment
-    and the ledger entry and advances the exponential enclosure. A step whose
-    width equals ``T - t`` ends exactly at ``T``; any other ends at
-    ``t + dt``. Returns the segments, the ledger, the seconds spent inside
-    ``choose`` and ``reduce`` together, and the seconds of the whole loop.
+    ``choose(acc, ledger, t)`` gives a ``TunedStep``, ``reduce(p, ledger,
+    dt, t)`` acts as ``reduce_accumulated``. Each step builds the step sets
+    of the chosen pieces unless they are the last step's, propagates them,
+    reduces, records the segment and the ledger entry and advances the
+    exponential enclosure. A step of width ``T - t`` ends exactly at ``T``,
+    any other at ``t + dt``. Returns the segments, the ledger, the seconds
+    inside ``choose`` and ``reduce`` together, and those of the whole loop.
     """
     ledger = ErrorLedger()
     acc = ExponentialAccumulator.identity(sys.dim)
     p_accum = Zonotope.point(np.zeros(sys.dim))
     segments: list[ReachSegment] = []
     t = 0.0
+    pieces = sets = None
     callback_seconds = 0.0
     start = time.perf_counter()
     while t < sys.horizon:
         mark = time.perf_counter()
-        step = choose(sys, acc, budget, ledger, t, workspace)
+        step = choose(acc, ledger, t)
         callback_seconds += time.perf_counter() - mark
-        t_hi = sys.horizon if step.dt == sys.horizon - t else t + step.dt
-        window, p_next = propagate_step(acc, step.sets, p_accum)
+        if step.pieces is not pieces:
+            pieces = step.pieces
+            sets = build_step_sets(sys, pieces)
+        t_hi = sys.horizon if pieces.dt == sys.horizon - t else t + pieces.dt
+        window, p_next = propagate_step(acc, sets, p_accum)
         mark = time.perf_counter()
-        p_next, reduction_err = reduce(p_next, budget, ledger, step.dt, t, sys.horizon)
+        p_next, reduction_err = reduce(p_next, ledger, pieces.dt, t)
         callback_seconds += time.perf_counter() - mark
         segments.append(ReachSegment(t, t_hi, minkowski_sum(window, p_accum)))
         ledger.add(StepRecord(
-            t_lo=t, t_hi=t_hi, dt=step.dt, taylor_order=step.eta,
+            t_lo=t, t_hi=t_hi, dt=pieces.dt, taylor_order=pieces.eta,
             zonotope_order=p_next.order, hom_error=step.hom_error,
             input_error=step.input_error, reduction_error=reduction_err,
             retries=step.retries))
-        acc = acc.advanced(step.sets.propagator, step.sets.remainder)
+        acc = acc.advanced(pieces.partial_sum, pieces.remainder)
         p_accum = p_next
         t = t_hi
     return segments, ledger, callback_seconds, time.perf_counter() - start
@@ -274,13 +265,16 @@ def run(sys: LinearSystem, eps_max: float,
     ``eps_max``. No step search tries a width past the remaining horizon,
     and the step accepted at the full remaining width is the last one.
     ``tuning_seconds`` is the loop's time in ``tune_step`` and
-    ``reduce_accumulated`` less ``_Workspace.build_seconds``, the construction
-    of step pieces. Raises ``TuningFailedError`` when the step size underflows.
+    ``reduce_accumulated`` less ``_Workspace.build_seconds``, the search's
+    Taylor construction. Raises ``TuningFailedError`` when dt underflows.
     """
     budget = ErrorBudget.split(eps_max, weights)
     workspace = _Workspace(sys)
+    # the lambdas look the two functions up per call, so patches reach them
     segments, ledger, callback_seconds, total = _step_through(
-        sys, tune_step, reduce_accumulated, budget, workspace)
+        sys, lambda acc, ledger, t: tune_step(sys, acc, budget, ledger, t, workspace),
+        lambda p, ledger, dt, t: reduce_accumulated(p, budget, ledger, dt, t,
+                                                    sys.horizon))
     return ReachResult(segments=segments, ledger=ledger, budget=budget,
                        tuning_seconds=callback_seconds - workspace.build_seconds,
                        total_seconds=total)

@@ -12,8 +12,7 @@ import pytest
 
 from reachtune.modelio import random_system, run_fixed_baseline
 from reachtune.reach import (ExponentialAccumulator, LinearSystem,
-                             build_step_sets, homogeneous_error,
-                             propagated_error)
+                             build_step_sets, propagated_error)
 from reachtune.sampling import check_containment, sample_trajectories
 from reachtune.taylor import (MatrixPowers, TaylorSeries, taylor_partial_sum,
                               truncation_remainder)
@@ -138,7 +137,7 @@ def test_criterion_4_step_input_error_superlinear():
             continue
         def input_error(width):
             pieces = TaylorSeries(powers, width).pieces(eta)
-            sets = build_step_sets(system, pieces, homogeneous_error(system, pieces))
+            sets = build_step_sets(system, pieces)
             return propagated_error(acc, sets.inh_error)
 
         base = input_error(dt)

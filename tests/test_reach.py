@@ -11,7 +11,8 @@ from reachtune.reach import (ExponentialAccumulator, LinearSystem,
                              build_step_sets, homogeneous_error,
                              homogeneous_error_floor, homogeneous_floor_rate,
                              propagate_step, propagated_error,
-                             propagated_homogeneous_error)
+                             propagated_homogeneous_error,
+                             propagated_input_error)
 from reachtune.taylor import (MatrixPowers, TaylorSeries, convergence_ratio,
                               max_taylor_order, taylor_partial_sum,
                               truncation_remainder)
@@ -31,9 +32,8 @@ def scalar_system(a=-1.0, x0=(1.0, 0.1), u=(0.0, 0.05), horizon=1.0):
 
 
 def step_sets(sys, dt, eta):
-    """``build_step_sets`` at ``(dt, eta)``, around its homogeneous error."""
-    pieces = TaylorSeries(sys.a, dt).pieces(eta)
-    return build_step_sets(sys, pieces, homogeneous_error(sys, pieces))
+    """``build_step_sets`` at ``(dt, eta)``."""
+    return build_step_sets(sys, TaylorSeries(sys.a, dt).pieces(eta))
 
 
 def test_linear_system_validation():
@@ -153,6 +153,39 @@ def test_propagated_homogeneous_error_matches_its_set(n, eta, steps, seed,
     reference = propagated_error(acc, homogeneous_error(sys, pieces))
     assert propagated_homogeneous_error(acc, sys, pieces) == pytest.approx(
         reference, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), eta=st.integers(1, 6), steps=st.integers(0, 5),
+       seed=st.integers(0, 2**32 - 1),
+       input_kind=st.sampled_from(["zero", "point", "box"]),
+       log_dt=st.floats(-3.0, -1.0))
+def test_propagated_input_error_matches_its_set(n, eta, steps, seed,
+                                               input_kind, log_dt):
+    # the closed form equals the enclosure radius of the mapped input error
+    # set of the step sets, under the identity (zero radius) and under
+    # accumulators advanced by random steps (nonzero radius)
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 2.0, (n, n))
+    x0 = Zonotope(rng.uniform(-5.0, 5.0, n),
+                  rng.uniform(-1.0, 1.0, (n, int(rng.integers(1, 2 * n + 1)))))
+    u = {"zero": Zonotope.point(np.zeros(n)),
+         "point": Zonotope.point(rng.uniform(-2.0, 2.0, n)),
+         "box": Zonotope.box(rng.uniform(-2.0, 2.0, n),
+                             rng.uniform(0.0, 0.5, n))}[input_kind]
+    sys = LinearSystem(a, x0, u, 1.0)
+    acc = ExponentialAccumulator.identity(n)
+    for _ in range(steps):
+        step = TaylorSeries(a, float(rng.uniform(0.01, 0.1))).pieces(
+            int(rng.integers(1, 5)))
+        acc = acc.advanced(step.partial_sum, step.remainder)
+    assert acc.enclosure.rad.any() == (steps > 0)
+    pieces = TaylorSeries(a, 10.0 ** log_dt).pieces(eta)
+    assume(pieces is not None)
+    reference = propagated_error(acc, build_step_sets(sys, pieces).inh_error)
+    assert propagated_input_error(acc, sys, pieces) == pytest.approx(
+        reference, rel=1e-12, abs=0.0)
+    assert (reference == 0.0) == (input_kind == "zero")
 
 
 def test_inhomogeneous_step_no_input():
@@ -318,12 +351,13 @@ def test_drift_endpoint_in_hull_inherits_correction_scale():
 def test_propagate_accumulates_pure_integrator():
     sys = LinearSystem(np.zeros((2, 2)), Zonotope.point([0.0, 0.0]),
                        unit_box(2), 1.0)
-    sets = step_sets(sys, 0.5, 2)
+    pieces = TaylorSeries(sys.a, 0.5).pieces(2)
+    sets = build_step_sets(sys, pieces)
     acc = ExponentialAccumulator.identity(2)
     p = Zonotope.point([0.0, 0.0])
     for _ in range(2):
         _, p = propagate_step(acc, sets, p)
-        acc = acc.advanced(sets.propagator, sets.remainder)
+        acc = acc.advanced(pieces.partial_sum, pieces.remainder)
     hull = interval_hull(p)
     np.testing.assert_allclose(hull.lo, [-1.0, -1.0], atol=1e-15)
     np.testing.assert_allclose(hull.hi, [1.0, 1.0], atol=1e-15)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachtune import tuner
-from reachtune.modelio import random_system
+from reachtune import reach, tuner
+from reachtune.modelio import random_system, run_fixed_baseline
 from reachtune.reach import LinearSystem
 from reachtune.sampling import check_containment, sample_trajectories
 from reachtune.taylor import TaylorSeries
@@ -555,47 +555,42 @@ def test_homogeneous_error_floor_skips_only_what_no_order_passes(system,
 
 
 @pytest.mark.parametrize("dim, steps", [(5, 44), (20, 93)])
-def test_search_builds_error_sets_only_for_candidates_under_the_cap(
+def test_step_sets_are_built_once_per_step_outside_the_search(
         dim, steps, monkeypatch):
-    # candidates are scored without building a set: the homogeneous error
-    # set is built once per step-set construction, here once per step, not
-    # once per candidate (the runs evaluate 463 and 784 candidates)
-    built = Counter()
+    # the search scores its candidates in closed form and builds no set:
+    # the stepping loop builds the homogeneous error and the step sets once
+    # per step, never while tune_step runs (the runs evaluate 463 and 784
+    # candidates); the fixed run builds them once per distinct width
+    built, searching = Counter(), [False]
 
-    def counted(name):
-        original = getattr(tuner, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def call(*args):
             built[name] += 1
+            built["in search"] += searching[0]
             return original(*args)
-        monkeypatch.setattr(tuner, name, call)
+        monkeypatch.setattr(module, name, call)
 
-    counted("homogeneous_error")
-    counted("build_step_sets")
+    def search(*args):
+        searching[0] = True
+        try:
+            return tune_step(*args)
+        finally:
+            searching[0] = False
+
+    tune_step = tuner.tune_step
+    monkeypatch.setattr(tuner, "tune_step", search)
+    counted(reach, "homogeneous_error")
+    counted(tuner, "build_step_sets")
     result = run(random_system(dim, 1), eps_max=0.05)
     assert result.steps == steps
     assert built["homogeneous_error"] == built["build_step_sets"] == steps
+    assert built["in search"] == 0
     assert sum(r.retries for r in result.ledger.records) > 5 * steps
 
-
-def test_step_sets_reuse_the_searched_homogeneous_error(monkeypatch):
-    # each accepted step carries the very error set its homogeneous cap
-    # measured: the step sets are built around it, not from scratch again
-    measured, taken = [], []
-    homogeneous_error = tuner.homogeneous_error
-    propagate_step = tuner.propagate_step
-
-    def measure(*args):
-        measured.append(homogeneous_error(*args))
-        return measured[-1]
-
-    def take(acc, sets, p_prev):
-        taken.append(sets)
-        return propagate_step(acc, sets, p_prev)
-
-    monkeypatch.setattr(tuner, "homogeneous_error", measure)
-    monkeypatch.setattr(tuner, "propagate_step", take)
-    result = run(random_system(5, 1), eps_max=0.05)
-    assert len(taken) == result.steps
-    for sets in taken:
-        assert any(sets.hom_error is error for error in measured)
+    built.clear()
+    fixed, _ = run_fixed_baseline(random_system(8, 1), 0.03, 4, 10)
+    assert fixed.steps == 100
+    widths = {r.dt for r in fixed.ledger.records}
+    assert built["homogeneous_error"] == built["build_step_sets"] == len(widths)
