@@ -16,8 +16,8 @@ import numpy as np
 
 from .intervals import IntervalMatrix
 from .taylor import TaylorPieces
-from .zonotope import (Zonotope, _halfwidths, enclosure_radius, hull_of,
-                       interval_map, linear_map, minkowski_sum)
+from .zonotope import (Zonotope, _halfwidths, _nonzero_columns, enclosure_radius,
+                       hull_of, interval_map, linear_map, minkowski_sum)
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,8 @@ class StepSets:
     ``hom_exact`` carries the step's constant-input drift inside the hull;
     ``inh_exact`` is the full local input solution used for accumulation
     and ``inh_centered`` its drift-free version used in the step window.
-    ``hom_error`` and ``inh_error`` both contain the origin, which is what
+    ``hom_error`` and ``inh_error`` are the sets of the parts the step
+    search scores, one box each; both contain the origin, which is what
     makes their enclosure radii sound Hausdorff bounds.
     """
 
@@ -103,32 +104,57 @@ class ExponentialAccumulator:
         return ExponentialAccumulator(enclosure)
 
 
+def _homogeneous_parts(sys: LinearSystem, pieces: TaylorPieces) -> tuple:
+    """Center ``c``, generators ``G`` and box halfwidths ``h`` of the
+    homogeneous error set ``C X0 + D c_U``, for the curvature enclosure ``C``
+    and input correction ``D``: ``c = mid(C) c_X0 + mid(D) c_U``, ``G = mid(C)
+    G_X0`` and ``h = rad(C) (|c_X0| + sum_j |g_X0,j|) + rad(D) |c_U|``."""
+    x0, u_c = sys.initial_set, sys.input_set.center
+    curv, corr = pieces.curvature, pieces.correction
+    return (curv.mid @ x0.center + corr.mid @ u_c, curv.mid @ x0.generators,
+            curv.rad @ (np.abs(x0.center) + _halfwidths(x0)) + corr.rad @ np.abs(u_c))
+
+
+def _input_parts(sys: LinearSystem, pieces: TaylorPieces) -> tuple:
+    """Parts of the input error set ``(E dt) U``: the remainder ``E`` is
+    centred at zero, so it is the box of halfwidths ``h = (rad(E) dt) (|c_U|
+    + sum_j |g_U,j|)`` around the origin."""
+    u = sys.input_set
+    h = (pieces.remainder.rad * pieces.dt) @ (np.abs(u.center) + _halfwidths(u))
+    return np.zeros(u.dim), np.zeros((u.dim, 0)), h
+
+
+def _error_set(c: np.ndarray, g: np.ndarray, h: np.ndarray) -> Zonotope:
+    """The zonotope of center ``c``, generators ``G`` and the box ``[-h, h]``."""
+    return Zonotope._trusted(c, _nonzero_columns(np.hstack((g, np.diag(h)))))
+
+
+def _propagated_radius(acc: ExponentialAccumulator, c: np.ndarray,
+                       g: np.ndarray, h: np.ndarray) -> float:
+    """``propagated_error(acc, _error_set(c, g, h))``, no set built: for the
+    midpoint ``M`` and radius ``R`` of ``acc.enclosure``, the norm of the
+    corner ``|M c| + sum_j |M g_j| + |M| h + R (|c| + sum_j |g_j| + h)``."""
+    m, r = acc.enclosure.mid, acc.enclosure.rad
+    corner = (np.abs(m @ c) + np.abs(m @ g).sum(axis=1) + np.abs(m) @ h
+              + r @ (np.abs(c) + np.abs(g).sum(axis=1) + h))
+    return float(np.linalg.norm(corner))
+
+
 def homogeneous_error(sys: LinearSystem, pieces: TaylorPieces) -> Zonotope:
-    """Error part of the step-window solution without the time-varying input:
-    curvature enclosure applied to the initial set plus the input correction
-    applied to the input-set center."""
-    return minkowski_sum(
-        interval_map(pieces.curvature, sys.initial_set),
-        interval_map(pieces.correction, Zonotope.point(sys.input_set.center)))
+    """Error part of the step-window solution without the time-varying
+    input: the set of ``_homogeneous_parts``, whose radii make one box."""
+    return _error_set(*_homogeneous_parts(sys, pieces))
 
 
 def homogeneous_error_floor(sys: LinearSystem) -> np.ndarray:
-    """``v``, where ``dt**2 * v`` is an entrywise floor on the box halfwidths
-    of the homogeneous error set.
-
-    At every step size and order ``eta >= 1`` the set ``E`` that
-    ``homogeneous_error`` returns has box halfwidths ``h >= dt**2 * v``
-    entrywise, with ``v = (|A^2| (|c_X0| + sum_j |g_X0,j|) + |A| |c_U|) / 16``:
-    the curvature enclosure's radius is at least that of its k = 2 term,
+    """``v = (|A^2| (|c_X0| + sum_j |g_X0,j|) + |A| |c_U|) / 16``: at every
+    step size and order ``eta >= 1``, the homogeneous parts have ``h >= dt**2
+    v``, since the curvature enclosure's radius is at least its k = 2 term's,
     ``dt**2 |A^2| / 16`` (at eta = 1 the remainder ``|A|^2 dt^2 / 2 / (1 -
-    zeta)`` is larger still), the correction's radius is at least
-    ``dt**2 |A| / 16``, and ``interval_map`` turns those radii into the
-    halfwidths ``h``. ``homogeneous_floor_rate`` carries the floor to the
-    current time.
+    zeta)`` is larger still), and the correction's at least ``dt**2 |A| / 16``.
     """
-    a = sys.a
-    x0 = sys.initial_set
-    corner = np.abs(x0.center) + np.abs(x0.generators).sum(axis=1)
+    a, x0 = sys.a, sys.initial_set
+    corner = np.abs(x0.center) + _halfwidths(x0)
     return (np.abs(a @ a) @ corner + np.abs(a) @ np.abs(sys.input_set.center)) / 16.0
 
 
@@ -137,35 +163,19 @@ _FLOOR_MARGIN = 1.0 - 1e-9
 
 
 def homogeneous_floor_rate(acc: ExponentialAccumulator, v: np.ndarray) -> float:
-    """``||(|M| + R) v||_2``, less a rounding margin, where ``M`` and ``R``
-    are the midpoint and radius of ``acc.enclosure`` and ``v`` is
-    ``homogeneous_error_floor(sys)``: at every step size ``dt`` and order
-
-        rate * dt**2 <= propagated_homogeneous_error(acc, sys, pieces).
-
-    That score is the norm of a corner vector whose terms are all
-    nonnegative, among them ``|M| h`` and ``R h`` for the error set's
-    halfwidths ``h >= dt**2 v``; so the corner is at least
-    ``dt**2 (|M| + R) v`` entrywise, and the norm is monotone on nonnegative
-    vectors. The floor and the score's ``(|M| + R) h`` part are computed as
-    sums and products of nonnegative numbers, to which the score only adds
-    nonnegative terms, and a sum of ``k`` such numbers is within a relative
-    ``k * 2**-53`` of its exact value in any order; the margin of ``1e-9``
-    covers that for ``k`` (about the dimension plus the generator count) up
-    to 10**6, away from underflow.
-    """
-    return _FLOOR_MARGIN * _propagated_box_radius(acc, v)
-
-
-def _propagated_box_radius(acc: ExponentialAccumulator, h: np.ndarray) -> float:
-    """``||(|M| + R) h||_2``: ``propagated_error`` of the box ``[-h, h]``."""
-    m, r = acc.enclosure.mid, acc.enclosure.rad
-    return float(np.linalg.norm((np.abs(m) + r) @ h))
+    """The scores' corner norm at the parts ``(0, none, v)`` for ``v =
+    homogeneous_error_floor(sys)``, less a rounding margin: at every ``dt``
+    and order, ``rate * dt**2 <= propagated_homogeneous_error(acc, sys,
+    pieces)``. Every term of the corner is nonnegative, those in ``h`` are
+    monotone in it, and the scored parts have ``h >= dt**2 v``; so the floor
+    bounds the score. The margin of ``1e-9`` covers rounding: a sum of ``k``
+    nonnegative terms is within a relative ``k * 2**-53`` of its exact
+    value, for ``k`` up to 10**6."""
+    return _FLOOR_MARGIN * _propagated_radius(acc, 0 * v, np.zeros((v.size, 0)), v)
 
 
 def build_step_sets(sys: LinearSystem, pieces: TaylorPieces) -> StepSets:
-    """All local pieces of one step, around its homogeneous error
-    ``homogeneous_error(sys, pieces)``.
+    """All local pieces of one step, both error sets built from their parts.
 
     Step window without the time-varying input: the exact part is the hull
     of the initial set and its endpoint image, which is the Taylor
@@ -176,8 +186,8 @@ def build_step_sets(sys: LinearSystem, pieces: TaylorPieces) -> StepSets:
     input-correction term of ``hom_error`` bounds.
 
     Local input solution over ``[0, dt]``: the exact part is
-    ``(sum_{k=0}^{eta} A^k dt^(k+1) / (k+1)!) U``, the error part
-    ``(remainder * dt) U``.
+    ``(sum_{k=0}^{eta} A^k dt^(k+1) / (k+1)!) U``, the error part the box
+    of ``_input_parts``, which encloses ``(remainder * dt) U``.
     """
     w = pieces.partial_sum
     drift = pieces.input_propagator @ sys.input_set.center
@@ -187,7 +197,7 @@ def build_step_sets(sys: LinearSystem, pieces: TaylorPieces) -> StepSets:
         hom_exact=hull_of(sys.initial_set, endpoint),
         hom_error=homogeneous_error(sys, pieces),
         inh_exact=linear_map(pieces.input_propagator, sys.input_set),
-        inh_error=interval_map(pieces.remainder.scale(pieces.dt), sys.input_set))
+        inh_error=_error_set(*_input_parts(sys, pieces)))
 
 
 def propagate_step(acc: ExponentialAccumulator, sets: StepSets,
@@ -213,28 +223,14 @@ def propagated_error(acc: ExponentialAccumulator, error_set: Zonotope) -> float:
 
 def propagated_homogeneous_error(acc: ExponentialAccumulator, sys: LinearSystem,
                                  pieces: TaylorPieces) -> float:
-    """``propagated_error(acc, homogeneous_error(sys, pieces))``, no set built:
-    for that set's center ``c``, generators ``G`` and box halfwidths ``h``,
-    the norm of ``|M c| + sum_j |M g_j| + |M| h + R (|c| + sum_j |g_j| + h)``."""
-    x0, u_c = sys.initial_set, sys.input_set.center
-    curv, corr = pieces.curvature, pieces.correction
-    c = curv.mid @ x0.center + corr.mid @ u_c
-    g = curv.mid @ x0.generators
-    h = curv.rad @ (np.abs(x0.center) + _halfwidths(x0)) + corr.rad @ np.abs(u_c)
-    m, r = acc.enclosure.mid, acc.enclosure.rad
-    corner = (np.abs(m @ c) + np.abs(m @ g).sum(axis=1) + np.abs(m) @ h
-              + r @ (np.abs(c) + np.abs(g).sum(axis=1) + h))
-    return float(np.linalg.norm(corner))
+    """``propagated_error(acc, homogeneous_error(sys, pieces))``."""
+    return _propagated_radius(acc, *_homogeneous_parts(sys, pieces))
 
 
 def propagated_input_error(acc: ExponentialAccumulator, sys: LinearSystem,
                            pieces: TaylorPieces) -> float:
-    """``propagated_error(acc, build_step_sets(sys, pieces).inh_error)``, no
-    set built: that set is the box of halfwidths ``h = (rad(E) dt) (|c_U| +
-    sum_j |g_U,j|)`` around the origin, since ``E`` is centred at zero."""
-    u = sys.input_set
-    h = (pieces.remainder.rad * pieces.dt) @ (np.abs(u.center) + _halfwidths(u))
-    return _propagated_box_radius(acc, h)
+    """``propagated_error(acc, build_step_sets(sys, pieces).inh_error)``."""
+    return _propagated_radius(acc, *_input_parts(sys, pieces))
 
 
 @dataclass(frozen=True)

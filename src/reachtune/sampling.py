@@ -98,7 +98,7 @@ def batch_contains(z: Zonotope, points: np.ndarray, tol: float) -> np.ndarray:
     an explicit coefficient witness, checked on the unscaled generators, so
     no false accepts arise; a reject comes from the box check or the LP alone.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != z.dim:

@@ -248,8 +248,11 @@ class TaylorSeries:
                 remainder=IntervalMatrix._trusted(np.zeros_like(half), half),
                 curvature=IntervalMatrix._trusted(curv_mid, curv_rad + half),
                 correction=IntervalMatrix._trusted(corr_mid, corr_rad + half * self.dt))
-        arrays = (pieces.partial_sum, pieces.input_propagator, half, curv_mid,
-                  pieces.curvature.rad, corr_mid, pieces.correction.rad)
+        # each radius adds the remainder to a running sum of |terms|, which
+        # bounds the midpoint sum's magnitude as rounding is monotone: finite
+        # radii mean a finite remainder and finite midpoints
+        arrays = (pieces.partial_sum, pieces.input_propagator,
+                  pieces.curvature.rad, pieces.correction.rad)
         return pieces if all(np.isfinite(x).all() for x in arrays) else None
 
 

@@ -17,7 +17,8 @@ from reachtune.taylor import (MatrixPowers, TaylorSeries, convergence_ratio,
                               max_taylor_order, taylor_partial_sum,
                               truncation_remainder)
 from reachtune.sampling import batch_contains
-from reachtune.zonotope import Zonotope, enclosure_radius, interval_hull
+from reachtune.zonotope import (Zonotope, enclosure_radius, interval_hull,
+                               interval_map, minkowski_sum, support)
 
 
 def unit_box(n, center=0.0):
@@ -186,6 +187,44 @@ def test_propagated_input_error_matches_its_set(n, eta, steps, seed,
     assert propagated_input_error(acc, sys, pieces) == pytest.approx(
         reference, rel=1e-12, abs=0.0)
     assert (reference == 0.0) == (input_kind == "zero")
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), eta=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       input_kind=st.sampled_from(["zero", "point", "box"]),
+       log_dt=st.floats(-3.0, -1.0))
+def test_homogeneous_error_is_one_box_of_the_two_box_set(n, eta, seed, input_kind,
+                                                         log_dt):
+    # the curvature image of X0 plus the correction image of the input
+    # center, with the two boxes of that sum merged into one
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 2.0, (n, n))
+    x0 = Zonotope(rng.uniform(-5.0, 5.0, n),
+                  rng.uniform(-1.0, 1.0, (n, int(rng.integers(1, 2 * n + 1)))))
+    u = {"zero": Zonotope.point(np.zeros(n)),
+         "point": Zonotope.point(rng.uniform(-2.0, 2.0, n)),
+         "box": Zonotope.box(rng.uniform(-2.0, 2.0, n),
+                             rng.uniform(0.0, 0.5, n))}[input_kind]
+    pieces = TaylorSeries(a, 10.0 ** log_dt).pieces(eta)
+    assume(pieces is not None)
+    curv, corr = pieces.curvature, pieces.correction
+    got = homogeneous_error(LinearSystem(a, x0, u, 1.0), pieces)
+    two_box = minkowski_sum(interval_map(curv, x0),
+                            interval_map(corr, Zonotope.point(u.center)))
+    assert np.array_equal(got.center, two_box.center)
+    h = (curv.rad @ (np.abs(x0.center) + np.abs(x0.generators).sum(axis=1))
+         + corr.rad @ np.abs(u.center))
+    mapped = curv.mid @ x0.generators
+    assert got.num_generators == (np.count_nonzero(np.any(mapped != 0.0, axis=0))
+                                  + np.count_nonzero(h))
+    # within 1e-12 of the magnitude of the terms compared
+    hull, ref = interval_hull(got), interval_hull(two_box)
+    scale = np.maximum(np.abs(ref.lo), np.abs(ref.hi))
+    assert np.all(np.abs(hull.lo - ref.lo) <= 1e-12 * scale)
+    assert np.all(np.abs(hull.hi - ref.hi) <= 1e-12 * scale)
+    for d in rng.standard_normal((16, n)):
+        magnitude = abs(d @ two_box.center) + np.abs(d @ two_box.generators).sum()
+        assert abs(support(got, d) - support(two_box, d)) <= 1e-12 * magnitude
 
 
 def test_inhomogeneous_step_no_input():

@@ -223,6 +223,13 @@ def test_batch_contains_rejects_bad_input():
         batch_contains(z, np.zeros((4, 3)), 1e-6)
     with pytest.raises(ValueError):
         batch_contains(z, [0.5, 0.5], -1e-6)
+    # a NaN tolerance fails every comparison, so it would reject the center
+    assert batch_contains(z, [[0.0, 0.0], [0.0, 0.0]], 0.0).tolist() == [True, True]
+    with pytest.raises(ValueError, match="tol"):
+        batch_contains(z, [[0.0, 0.0], [0.0, 0.0]], math.nan)
+    batch = TrajectoryBatch(times=np.zeros(1), states=np.zeros((1, 2, 1)))
+    with pytest.raises(ValueError, match="tol"):
+        check_containment([ReachSegment(0.0, 1.0, z)], batch, tol=math.nan)
 
 
 def test_batch_contains_point_zonotope():

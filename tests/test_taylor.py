@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from reachtune.intervals import IntervalMatrix
-from reachtune.taylor import (MatrixPowers, NotConvergentError, TaylorSeries,
-                              convergence_ratio, curvature_enclosure,
+from reachtune.taylor import (MAX_ORDER_CAP, MatrixPowers, NotConvergentError,
+                              TaylorSeries, convergence_ratio, curvature_enclosure,
                               input_correction, input_propagator,
                               max_taylor_order, taylor_partial_sum,
                               truncation_remainder)
@@ -289,6 +289,39 @@ def test_checked_order_and_cut_off_reuse_the_series_terms():
                        for g, e in zip(series_pieces(series, eta), expected))
     with pytest.raises(ValueError):
         max_taylor_order(TaylorSeries(powers, 0.05), 0.1)
+
+
+def reference_rejects(powers, dt, eta):
+    """Whether the per-order functions fail at ``(dt, eta)``: one raises, or
+    a point sum is not finite."""
+    try:
+        for enclosure in (truncation_remainder, curvature_enclosure, input_correction):
+            enclosure(powers, dt, eta)
+    except (NotConvergentError, ValueError):
+        return True
+    return not (np.isfinite(taylor_partial_sum(powers, dt, eta)).all()
+                and np.isfinite(input_propagator(powers, dt, eta)).all())
+
+
+def test_series_rejects_exactly_what_the_per_order_functions_reject():
+    # the series checks four of its arrays for finiteness; the decisions
+    # match the per-order functions' at every order, on powers that
+    # diverge, overflow, or (long horizons) overflow in dt^k alone
+    rng = np.random.default_rng(71)
+    cases = [(rng.uniform(-3.0, 3.0, (3, 3)), (0.003, 0.3, 1.2)),
+             (np.diag([-3000.0, -1.0]), (1e-4, 0.003, 0.03)),
+             (rng.uniform(-1e-3, 1e-3, (3, 3)), (10.0, 1e3, 1e4))]
+    decisions = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, dts in cases:
+            powers = MatrixPowers(a)
+            for dt in dts:
+                series = TaylorSeries(powers, dt)
+                for eta in range(1, MAX_ORDER_CAP + 1):
+                    rejected = series.pieces(eta) is None
+                    assert rejected == reference_rejects(powers, dt, eta), (dt, eta)
+                    decisions.add(rejected)
+    assert decisions == {True, False}
 
 
 def test_unchecked_order_still_validates_its_pieces():

@@ -8,9 +8,10 @@ Run from the repository root of each version and compare the outputs::
 
 Each line holds the run's name, its steps, the candidates its step search
 evaluated (the sum of the ledger's ``retries``), a SHA-1 over every
-segment's ``t_lo``, ``t_hi``, center and generators, and the ledger's
-largest homogeneous error, input total and reduction total. Floats are
-printed with shortest round-trip precision.
+segment's ``t_lo``, ``t_hi``, center and generators, the ledger's largest
+homogeneous error, input total and reduction total, and the number of
+generators summed over all segments. Floats are printed with shortest
+round-trip precision.
 """
 
 from __future__ import annotations
@@ -92,9 +93,10 @@ def main() -> None:
         result = thunk()
         ledger = result.ledger
         candidates = sum(r.retries for r in ledger.records)
+        generators = sum(s.set.num_generators for s in result.segments)
         print(name, result.steps, candidates, segment_digest(result),
               repr(ledger.max_hom_error), repr(ledger.input_acc),
-              repr(ledger.reduction_acc), flush=True)
+              repr(ledger.reduction_acc), generators, flush=True)
 
 
 if __name__ == "__main__":
