@@ -5,10 +5,10 @@ Subcommands: ``run`` (adaptive analysis), ``baseline`` (fixed parameters),
 ``sample`` (trajectory oracle). Exit codes: 0 completed and all specs hold,
 2 a spec is violated, 3 input error, 4 the analysis failed at run time or
 an internal error. Input is checked where it enters, so only its own
-errors (``ModelError``, usage errors, a missing file) exit 3. Output paths
-are checked before any analysis: a path that is a directory, a path whose
-directory does not exist, an output on an input file, or two outputs on
-one file, exits 3.
+errors (``ModelError``, usage errors, an input path that is missing or a
+directory) exit 3. Output paths are checked before any analysis: a path
+that is a directory, a path whose directory does not exist, an output on
+an input file, or two outputs on one file, exits 3.
 
 ``reach run`` accepts ``--model`` several times; the output paths must then
 contain ``{}`` as a placeholder for the model stem. Every model and output
@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (_UsageError, ModelError, FileNotFoundError) as exc:
+    except (_UsageError, ModelError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # noqa: BLE001 - exit code contract

@@ -67,21 +67,20 @@ def _require(condition: bool, message: str) -> None:
         raise ModelError(message)
 
 
-def _has_bool(value) -> bool:
-    if not isinstance(value, list):
-        return isinstance(value, bool)
-    kinds = set(map(type, value))
-    return bool in kinds or (list in kinds and any(
-        _has_bool(item) for item in value if isinstance(item, list)))
+_JSON_NUMBER = frozenset({int, float})  # json's number types, tested exactly: bool is an int
 
 
 def _numeric(value, label: str) -> np.ndarray:
-    """``value`` as a float array; a ModelError naming the field if it is
-    not numeric or holds a JSON boolean, which numpy would read as 1 or 0."""
-    _require(not _has_bool(value), f"field {label} must be numeric, not a boolean")
+    """``value`` as a float array of at most two dimensions; a ModelError
+    naming the field unless every entry is a JSON number. numpy would read
+    a boolean as 1 or 0 and parse a string such as ``"-1"``."""
+    array = np.array(value, dtype=object)
+    # ``flat`` fails beyond 32 dimensions, so the depth is checked first
+    _require(array.ndim <= 2 and {type(x) for x in array.flat} <= _JSON_NUMBER,
+             f"field {label} must be numeric")
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        return array.astype(float)
+    except OverflowError as exc:
         raise ModelError(f"field {label} must be numeric: {exc}") from exc
 
 
@@ -116,13 +115,21 @@ def _zonotope_to_json(z: Zonotope) -> dict:
     return {"center": z.center.tolist(), "generators": z.generators.T.tolist()}
 
 
-def _read_json_object(path) -> dict:
+def _decode(data: bytes, where):
+    """The JSON value that the UTF-8 ``data`` holds; a ModelError naming
+    ``where`` if it is not UTF-8, not JSON or nested too deep to decode."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
-        raise ModelError(f"{path}: invalid JSON at line {exc.lineno}, "
+        raise ModelError(f"{where}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ModelError(f"{where}: cannot decode: {exc}") from exc
+
+
+def _read_json_object(path) -> dict:
+    with open(path, "rb") as fh:
+        raw = _decode(fh.read(), path)
     _require(isinstance(raw, dict), f"{path}: top level must be an object")
     return raw
 
@@ -139,10 +146,8 @@ def load_model(path) -> tuple[LinearSystem, list[SafetySpec]]:
     n = a.shape[0]
     x0 = _zonotope_from_json(raw["X0"], "X0", n)
     u = _zonotope_from_json(raw["U"], "U", n)
-    horizon = raw["T"]
-    _require(isinstance(horizon, (int, float)) and not isinstance(horizon, bool)
-             and math.isfinite(horizon) and horizon > 0,
-             "field T must be a positive number")
+    horizon = _scalar(raw["T"], "T")
+    _require(math.isfinite(horizon) and horizon > 0, "field T must be a positive number")
     entries = raw.get("specs", [])
     _require(isinstance(entries, list), "field specs must be a list")
     specs = []
@@ -159,7 +164,7 @@ def load_model(path) -> tuple[LinearSystem, list[SafetySpec]]:
                  f"expected {n}")
         specs.append(spec)
     try:
-        system = LinearSystem(a, x0, u, float(horizon))
+        system = LinearSystem(a, x0, u, horizon)
     except ValueError as exc:
         raise ModelError(str(exc)) from exc
     return system, specs
@@ -224,9 +229,7 @@ def write_result(path, result: ReachResult) -> None:
     with open(path, "w") as fh:
         for seg in result.segments:
             hull = interval_hull(seg.set)
-            line = {"t_lo": seg.t_lo, "t_hi": seg.t_hi,
-                    "center": seg.set.center.tolist(),
-                    "generators": seg.set.generators.T.tolist(),
+            line = {"t_lo": seg.t_lo, "t_hi": seg.t_hi, **_zonotope_to_json(seg.set),
                     "interval_lo": hull.lo.tolist(),
                     "interval_hi": hull.hi.tolist()}
             fh.write(json.dumps(line))
@@ -235,24 +238,20 @@ def write_result(path, result: ReachResult) -> None:
 
 def read_result(path) -> list[ReachSegment]:
     segments = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ModelError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            z = _zonotope_from_json(obj, f"{path}:{lineno}",
+            where = f"{path}:{lineno}"
+            obj = _decode(line, where)
+            z = _zonotope_from_json(obj, where,
                                     segments[0].set.dim if segments else None)
             for name in ("t_lo", "t_hi"):
-                _require(name in obj, f"{path}:{lineno}: missing field {name}")
-            t_lo = _scalar(obj["t_lo"], f"{path}:{lineno}.t_lo")
-            t_hi = _scalar(obj["t_hi"], f"{path}:{lineno}.t_hi")
+                _require(name in obj, f"{where}: missing field {name}")
+            t_lo = _scalar(obj["t_lo"], f"{where}.t_lo")
+            t_hi = _scalar(obj["t_hi"], f"{where}.t_hi")
             _require(-math.inf < t_lo < t_hi < math.inf,
-                     f"{path}:{lineno}: window [{t_lo}, {t_hi}] must have "
-                     f"finite t_lo < t_hi")
+                     f"{where}: window [{t_lo}, {t_hi}] must have finite t_lo < t_hi")
             segments.append(ReachSegment(t_lo, t_hi, z))
     _require(bool(segments), f"{path}: result file is empty")
     return segments
@@ -305,8 +304,8 @@ def write_report(path, report: RunReport) -> None:
 
 
 # JSON types of the report fields; every other field is a number
-_REPORT_TYPES = {"dimension": int, "steps": int,
-                 "budget": (dict, type(None)), "series": dict}
+_REPORT_TYPES = {"dimension": {int}, "steps": {int},
+                 "budget": {dict, type(None)}, "series": {dict}}
 
 
 def read_report(path) -> RunReport:
@@ -321,8 +320,7 @@ def read_report(path) -> RunReport:
                      f"{path}: missing field {name}")
             continue
         value = obj[name]
-        _require(isinstance(value, _REPORT_TYPES.get(name, (int, float)))
-                 and not isinstance(value, bool),
+        _require(type(value) in _REPORT_TYPES.get(name, _JSON_NUMBER),
                  f"{path}: field {name} has the wrong type "
                  f"{type(value).__name__}")
     return RunReport(**obj)

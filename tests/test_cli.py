@@ -442,9 +442,26 @@ def test_run_prints_each_model_as_it_finishes(tmp_path, capsys, monkeypatch):
     assert "internal error: second model failed" in captured.err
 
 
+def nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def put(obj, keys, value):
+    for key in keys[:-1]:
+        obj = obj[key]
+    obj[keys[-1]] = value
+
+
+# numpy reads JSON true and false as 1.0 and 0.0 and parses a string such as
+# "1.5"; float() overflows on 10**400, and numpy fails past 32 dimensions
+NOT_NUMBERS = [False, True, "1.5", None, 10**400, nested(1.0, 64), nested(1.0, 200)]
+
+
 def test_json_booleans_exit_three(tmp_path, capsys):
-    # numpy reads JSON true and false as 1.0 and 0.0; the file boundary
-    # rejects them in every numeric field, naming the field
+    # the file boundary rejects every numeric field entry that is not a JSON
+    # number, or nested past two levels, naming the field
     model = gen_model(tmp_path)
     raw = json.loads(model.read_text())
     raw["specs"] = [{"name": "s", "direction": [1.0, 0.0], "bound": 100.0}]
@@ -455,6 +472,13 @@ def test_json_booleans_exit_three(tmp_path, capsys):
         ("specs[0].direction", lambda m: m["specs"][0].update(direction=[True, 0.0])),
         ("specs[0].bound", lambda m: m["specs"][0].update(bound=True)),
     ]
+    entries = {"A": ("A", 0, 0), "X0.center": ("X0", "center", 0),
+               "X0.generators": ("X0", "generators", 0, 0),
+               "U.center": ("U", "center", 1), "U.generators": ("U", "generators", 1, 1),
+               "specs[0].direction": ("specs", 0, "direction", 1),
+               "specs[0].bound": ("specs", 0, "bound"), "T": ("T",)}
+    edits += [(label, lambda m, keys=keys, value=value: put(m, keys, value))
+              for label, keys in entries.items() for value in NOT_NUMBERS]
     bad = tmp_path / "bool.json"
     for label, edit in edits:
         edited = json.loads(json.dumps(raw))
@@ -464,13 +488,42 @@ def test_json_booleans_exit_three(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"field {label} must be numeric" in err and "internal error" not in err
     result = tmp_path / "bool.jsonl"
-    for name in ("t_lo", "t_hi"):
-        line = {"t_lo": 0.0, "t_hi": 3.0, "center": [0.0, 0.0]}
-        line[name] = bool(line[name])
-        result.write_text(json.dumps(line) + "\n")
-        assert main(["check", "--result", str(result), "--model", str(model)]) == 3
-        err = capsys.readouterr().err
-        assert f"field {result}:1.{name} must be numeric" in err
+    for name, keys in (("t_lo", ("t_lo",)), ("t_hi", ("t_hi",)), ("center", ("center", 1))):
+        for value in NOT_NUMBERS:
+            line = {"t_lo": 0.0, "t_hi": 3.0, "center": [0.0, 0.0]}
+            put(line, keys, value)
+            result.write_text(json.dumps(line) + "\n")
+            assert main(["check", "--result", str(result), "--model", str(model)]) == 3
+            err = capsys.readouterr().err
+            assert (f"field {result}:1.{name} must be numeric" in err
+                    and "internal error" not in err), (name, value)
+
+
+def test_unreadable_input_files_exit_three(tmp_path, capsys):
+    # a directory is a path problem and stays an OSError; bytes that are not
+    # UTF-8 and JSON nested past the decoder's depth are content problems
+    model = gen_model(tmp_path)
+    folder = tmp_path / "folder.json"
+    folder.mkdir()
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"name": "\xff"}\n')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    traj = str(tmp_path / "t.jsonl")
+    for path in (folder, latin, deep):
+        # a result file's decoding error also names the line
+        line = "" if path is folder else ":1: cannot decode"
+        for argv, where in (
+                (["run", "--model", str(path), "--eps", "0.5"], str(path)),
+                (["baseline", "--model", str(path), "--dt", "0.1", "--eta", "4",
+                  "--rho", "10"], str(path)),
+                (["check", "--result", str(path), "--model", str(model)],
+                 f"{path}{line}"),
+                (["sample", "--model", str(model), "--count", "1", "--seed", "1",
+                  "--out", traj, "--result", str(path)], f"{path}{line}")):
+            assert main(argv) == 3, argv
+            err = capsys.readouterr().err
+            assert where in err and "internal error" not in err, argv
 
 
 def test_json_of_the_wrong_shape_exits_three(tmp_path, capsys):

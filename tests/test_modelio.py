@@ -4,13 +4,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from reachtune.modelio import (ModelError, SafetySpec, check_specs,
                                load_model, random_system, read_report,
                                read_result, run_adaptive, run_fixed_baseline,
                                save_model, write_report, write_result)
 from reachtune.reach import LinearSystem, ReachSegment
-from reachtune.tuner import run
+from reachtune.tuner import ErrorLedger, ReachResult, run
 from reachtune.zonotope import Zonotope, interval_hull, support
 
 
@@ -114,9 +116,53 @@ def test_result_round_trip_bit_identical(tmp_path):
         np.testing.assert_array_equal(loaded.set.generators, orig.set.generators)
     # a second write of the loaded data is byte-identical
     path2 = tmp_path / "result2.jsonl"
-    from reachtune.tuner import ReachResult
     write_result(path2, ReachResult(segments, result.ledger, result.budget,
                                     0.0, 0.0))
+    assert path.read_bytes() == path2.read_bytes()
+
+
+# signed zeros, the smallest subnormal, a tiny normal and the float extremes
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
+                               1.7976931348623157e308, -1.7976931348623157e308])
+FLOATS = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def reach_segments(draw):
+    n = draw(st.integers(1, 4))
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        t_lo, t_hi = sorted(draw(st.lists(FLOATS, min_size=2, max_size=2, unique=True)))
+        center = draw(st.lists(FLOATS, min_size=n, max_size=n))
+        columns = draw(st.lists(st.lists(FLOATS, min_size=n, max_size=n), max_size=4))
+        gens = np.array(columns, dtype=float).reshape(-1, n).T
+        # write_result also writes the interval hull, which must be finite
+        with np.errstate(over="ignore"):
+            assume(np.all(np.isfinite(np.abs(center) + np.abs(gens).sum(axis=1))))
+        segments.append(ReachSegment(t_lo, t_hi, Zonotope(center, gens)))
+    return segments
+
+
+def bits(array):
+    return np.asarray(array, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(segments=reach_segments())
+def test_result_round_trip_keeps_every_bit(tmp_path, segments):
+    path, path2 = tmp_path / "result.jsonl", tmp_path / "result2.jsonl"
+    write_result(path, ReachResult(segments, ErrorLedger(), None, 0.0, 0.0))
+    loaded = read_result(path)
+    write_result(path2, ReachResult(loaded, ErrorLedger(), None, 0.0, 0.0))
+    assert len(loaded) == len(segments)
+    for orig, back in zip(segments, loaded):
+        np.testing.assert_array_equal(bits([back.t_lo, back.t_hi]),
+                                      bits([orig.t_lo, orig.t_hi]))
+        np.testing.assert_array_equal(bits(back.set.center), bits(orig.set.center))
+        assert back.set.generators.shape == orig.set.generators.shape
+        np.testing.assert_array_equal(bits(back.set.generators),
+                                      bits(orig.set.generators))
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -158,13 +204,23 @@ def test_written_report_reads_back_equal(tmp_path):
     (lambda obj: json.dumps({**obj, "dt_min": "0.1"}), "field dt_min has the wrong type"),
     (lambda obj: json.dumps({**obj, "budget": [0.05]}), "field budget has the wrong type"),
     (lambda obj: json.dumps({**obj, "series": None}), "field series has the wrong type"),
+    (lambda obj: '{"steps": "\xff"}', "cannot decode"),
+    (lambda obj: "[" * 100_000 + "]" * 100_000, "cannot decode"),
 ], ids=["invalid-json", "non-object", "missing-field", "unknown-field",
-        "steps-float", "steps-bool", "dt_min-string", "budget-list", "series-null"])
+        "steps-float", "steps-bool", "dt_min-string", "budget-list", "series-null",
+        "not-utf8", "nested-too-deep"])
 def test_read_report_rejects_malformed_file(tmp_path, make_text, message):
     _, path, obj = written_report(tmp_path)
-    path.write_text(make_text(obj))
+    # Latin-1 writes the byte 0xff for the character U+00FF
+    path.write_text(make_text(obj), encoding="latin-1")
     with pytest.raises(ModelError, match=re.escape(f"{path}: {message}")):
         read_report(path)
+
+
+def test_read_report_of_a_directory_stays_an_os_error(tmp_path):
+    # a path problem stays an OSError; only content problems are ModelErrors
+    with pytest.raises(IsADirectoryError, match=re.escape(str(tmp_path))):
+        read_report(tmp_path)
 
 
 def test_check_specs_static_example():

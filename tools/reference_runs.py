@@ -9,15 +9,17 @@ Run from the repository root of each version and compare the outputs::
 Each line holds the run's name, its steps, the candidates its step search
 evaluated (the sum of the ledger's ``retries``), a SHA-1 over every
 segment's ``t_lo``, ``t_hi``, center and generators, the ledger's largest
-homogeneous error, input total and reduction total, and the number of
-generators summed over all segments. Floats are printed with shortest
-round-trip precision.
+homogeneous error, input total and reduction total, the number of
+generators summed over all segments, and a SHA-1 of the result file that
+``write_result`` writes for the run into a temporary directory. Floats are
+printed with shortest round-trip precision.
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from reachtune import (LinearSystem, Zonotope, random_system,  # noqa: E402
-                       run, run_fixed_baseline)
+                       run, run_fixed_baseline, write_result)
 
 
 def stiff(lam: float) -> LinearSystem:
@@ -88,6 +90,13 @@ def segment_digest(result) -> str:
     return digest.hexdigest()
 
 
+def result_file_digest(result) -> str:
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "result.jsonl"
+        write_result(path, result)
+        return hashlib.sha1(path.read_bytes()).hexdigest()
+
+
 def main() -> None:
     for name, thunk in reference_runs():
         result = thunk()
@@ -96,7 +105,8 @@ def main() -> None:
         generators = sum(s.set.num_generators for s in result.segments)
         print(name, result.steps, candidates, segment_digest(result),
               repr(ledger.max_hom_error), repr(ledger.input_acc),
-              repr(ledger.reduction_acc), generators, flush=True)
+              repr(ledger.reduction_acc), generators, result_file_digest(result),
+              flush=True)
 
 
 if __name__ == "__main__":
