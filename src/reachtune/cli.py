@@ -26,7 +26,7 @@ from pathlib import Path
 from .modelio import (ModelError, check_specs, load_model, random_system,
                       read_result, run_adaptive, run_fixed_baseline,
                       save_model)
-from .sampling import sample_trajectories
+from .sampling import INPUT_SWITCHES, sample_trajectories
 from .tuner import DEFAULT_WEIGHTS, ErrorBudget
 
 EXIT_OK = 0
@@ -188,6 +188,10 @@ def _cmd_sample(args) -> int:
         step = min(seg.t_hi - seg.t_lo for seg in segments) / 100.0
     else:
         step = system.horizon / 1000.0
+    grid = INPUT_SWITCHES * -(-system.horizon / INPUT_SWITCHES // step) + 1
+    if not grid * args.count * system.dim <= sys.maxsize:  # np.iinfo(np.intp).max
+        raise _UsageError(f"step {step:.6g} is too small: the RK4 grid of "
+                          f"--count {args.count} cannot be allocated")
     batch = sample_trajectories(system, args.count, args.seed, step)
     with open(args.out, "w") as fh:
         for k in range(batch.count):
@@ -243,7 +247,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--step", type=float,
-                   help="RK4 step size (default horizon/1000)")
+                   help="RK4 step size (default horizon/1000); (10 ceil(T/10/step) "
+                        "+ 1) * count * dim must not exceed numpy's 2**63 - 1")
     p.add_argument("--result",
                    help="result file; sets the step to dt_min/100")
     p.set_defaults(fn=_cmd_sample)

@@ -21,13 +21,10 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .reach import (LinearSystem, ReachSegment, propagated_homogeneous_error,
-                    propagated_input_error)
-from .taylor import (MAX_ORDER_CAP, MatrixPowers, TaylorPieces, TaylorSeries,
-                     convergence_ratio)
-from .tuner import DEFAULT_WEIGHTS, ReachResult, TunedStep, _step_through, run
-from .zonotope import (Zonotope, _halfwidths, interval_hull, reduce_order,
-                       support)
+from .reach import LinearSystem, ReachSegment
+from .taylor import MAX_ORDER_CAP, NotConvergentError
+from .tuner import DEFAULT_WEIGHTS, ReachResult, run, run_fixed
+from .zonotope import Zonotope, _halfwidths, interval_hull, support
 
 
 class ModelError(ValueError):
@@ -366,9 +363,8 @@ def check_specs(segments, specs) -> list[SpecVerdict]:
     return verdicts
 
 
-def _report_and_write(result: ReachResult, dimension: int, out_path,
-                      report_path) -> tuple[ReachResult, RunReport]:
-    report = report_from_result(result, dimension)
+def _report_and_write(result, out_path, report_path) -> tuple[ReachResult, RunReport]:
+    report = report_from_result(result, result.final_set.dim)
     if out_path is not None:
         write_result(out_path, result)
     if report_path is not None:
@@ -380,49 +376,20 @@ def run_adaptive(system: LinearSystem, eps_max: float,
                  weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
                  out_path=None, report_path=None) -> tuple[ReachResult, RunReport]:
     """Adaptive analysis plus optional result/report files."""
-    return _report_and_write(run(system, eps_max, weights), system.dim,
-                             out_path, report_path)
+    return _report_and_write(run(system, eps_max, weights), out_path, report_path)
 
 
 def run_fixed_baseline(system: LinearSystem, dt: float, eta: int, rho: float,
                        out_path=None, report_path=None) -> tuple[ReachResult, RunReport]:
-    """Same pipeline with tuning disabled: fixed step, order and set order.
-
-    ``run`` and this baseline share one stepping loop, whose clock gives
-    the wall time and which builds each width's step sets once; only the
-    choice of each step and the reduction differ. Errors are tracked in the
-    ledger but no budget is enforced, so the totals are informational only.
-    The final step is clamped to the horizon when ``dt`` does not divide
-    it, and a leftover below 1e-9 is absorbed into the last step.
-    """
+    """``run_fixed`` with checked parameters plus optional result/report files."""
     _require(dt > 0 and math.isfinite(dt), f"baseline dt must be positive, got {dt}")
     _require(eta >= 1, f"baseline eta must be >= 1, got {eta}")
     _require(eta <= MAX_ORDER_CAP,
              f"baseline eta must be <= {MAX_ORDER_CAP}, got {eta}")
-    _require(rho >= 1, f"baseline rho must be >= 1, got {rho}")
-    horizon = system.horizon
-    powers = MatrixPowers(system.a)
-    cache: dict[float, TaylorPieces] = {}
-
-    def choose(acc, _ledger, t):
-        width = dt
-        if t + dt >= horizon * (1.0 - 1e-12) or horizon - (t + dt) < 1e-9:
-            width = horizon - t
-        if width not in cache:
-            _require(convergence_ratio(powers, width, eta) < 1.0,
-                     f"Taylor remainder does not converge at dt={width:.3g}, "
-                     f"eta={eta}: raise eta or lower dt")
-            cache[width] = TaylorSeries(powers, width).pieces(eta)
-            _require(cache[width] is not None,
-                     f"Taylor terms overflow at dt={width:.3g}, eta={eta}")
-        pieces = cache[width]
-        return TunedStep(pieces, propagated_homogeneous_error(acc, system, pieces),
-                         propagated_input_error(acc, system, pieces), retries=0)
-
-    def reduce(p_next, *_):
-        return reduce_order(p_next, rho)
-
-    segments, ledger, _, total = _step_through(system, choose, reduce)
-    result = ReachResult(segments=segments, ledger=ledger, budget=None,
-                         tuning_seconds=0.0, total_seconds=total)
-    return _report_and_write(result, system.dim, out_path, report_path)
+    _require(rho >= 1 and math.isfinite(rho),
+             f"baseline rho must be finite and >= 1, got {rho}")
+    try:
+        result = run_fixed(system, dt, eta, rho)
+    except NotConvergentError as exc:
+        raise ModelError(str(exc)) from exc
+    return _report_and_write(result, out_path, report_path)

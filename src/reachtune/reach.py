@@ -41,11 +41,12 @@ class LinearSystem:
             raise ValueError("system matrix entries must be finite")
         object.__setattr__(self, "a", a)
         n = a.shape[0]
-        if self.initial_set.dim != n:
-            raise ValueError(
-                f"initial set dimension {self.initial_set.dim} != {n}")
-        if self.input_set.dim != n:
-            raise ValueError(f"input set dimension {self.input_set.dim} != {n}")
+        for name, z in (("initial", self.initial_set), ("input", self.input_set)):
+            if z.dim != n:
+                raise ValueError(f"{name} set dimension {z.dim} != {n}")
+            with np.errstate(over="ignore"):
+                if not np.all(np.isfinite(np.abs(z.center) + _halfwidths(z))):
+                    raise ValueError(f"{name} set corner |c| + sum_j |g_j| is not finite")
         if not (self.horizon > 0 and np.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive, got {self.horizon}")
 

@@ -23,9 +23,9 @@ from .intervals import IntervalMatrix
 
 
 class NotConvergentError(ArithmeticError):
-    """Remainder bound diverges: ``|A|*dt / (eta+2) >= 1``.
-
-    Callers recover by raising the order or shrinking the time step.
+    """Remainder bound diverges, ``|A|*dt / (eta+2) >= 1``, or (from
+    ``tuner.run_fixed``) a Taylor term overflows. Callers recover by
+    shrinking the time step, or by raising the order if the bound diverges.
     """
 
 

@@ -20,8 +20,9 @@ from .reach import (ExponentialAccumulator, LinearSystem, ReachSegment,
                     build_step_sets, homogeneous_error_floor,
                     homogeneous_floor_rate, minkowski_sum, propagate_step,
                     propagated_homogeneous_error, propagated_input_error)
-from .taylor import MatrixPowers, TaylorPieces, TaylorSeries, max_taylor_order
-from .zonotope import Zonotope, _cut_ranked_prefix
+from .taylor import (MatrixPowers, NotConvergentError, TaylorPieces,
+                     TaylorSeries, max_taylor_order)
+from .zonotope import Zonotope, _cut_ranked_prefix, reduce_order
 
 DEFAULT_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 # factor by which the step search shrinks dt after a failed sweep of orders
@@ -278,6 +279,32 @@ def run(sys: LinearSystem, eps_max: float,
     return ReachResult(segments=segments, ledger=ledger, budget=budget,
                        tuning_seconds=callback_seconds - workspace.build_seconds,
                        total_seconds=total)
+
+
+def run_fixed(sys: LinearSystem, dt: float, eta: int, rho: float) -> "ReachResult":
+    """The fixed-parameter run: step ``dt`` (one that would reach ``T``, or
+    leave less than 1e-9 before it, takes ``T - t``), Taylor order ``eta`` and
+    ``reduce_order(p, rho)``, scored like ``run`` but with no budget. Raises
+    ``NotConvergentError`` where a width's Taylor terms diverge or overflow."""
+    powers = MatrixPowers(sys.a)
+    cache: dict[float, TaylorPieces] = {}  # so the loop builds each width's sets once
+
+    def choose(acc, _ledger, t):
+        width = (sys.horizon - t if t + dt >= sys.horizon * (1.0 - 1e-12)
+                 or sys.horizon - (t + dt) < 1e-9 else dt)
+        if width not in cache:
+            cache[width] = TaylorSeries(powers, width).pieces(eta)
+        pieces = cache[width]
+        if pieces is None:
+            raise NotConvergentError(f"Taylor remainder diverges or its terms overflow "
+                                     f"at dt={width:.3g}, eta={eta}: lower dt")
+        return TunedStep(pieces, propagated_homogeneous_error(acc, sys, pieces),
+                         propagated_input_error(acc, sys, pieces), retries=0)
+
+    segments, ledger, _, total = _step_through(
+        sys, choose, lambda p, *_: reduce_order(p, rho))
+    return ReachResult(segments=segments, ledger=ledger, budget=None,
+                       tuning_seconds=0.0, total_seconds=total)
 
 
 @dataclass(frozen=True)

@@ -218,8 +218,8 @@ def reduce_order(z: Zonotope, target_order: float) -> tuple[Zonotope, float]:
     """Cap the order, returning the superset and its certified error: cut the
     shortest prefix of ``_cut_ranked_prefix``'s ranking that leaves at most
     ``floor(dim * target_order)`` generators."""
-    if target_order < 1:
-        raise ValueError(f"target order must be >= 1, got {target_order}")
+    if not (target_order >= 1 and np.isfinite(target_order)):
+        raise ValueError(f"target order must be finite and >= 1, got {target_order}")
     n = z.dim
     max_gens = int(np.floor(n * target_order + 1e-12))
     if z.num_generators <= max_gens:

@@ -5,8 +5,8 @@ import pytest
 
 from reachtune import cli
 from reachtune.cli import main
-from reachtune.modelio import (SafetySpec, load_model, read_report,
-                               read_result, save_model)
+from reachtune.modelio import (SafetySpec, load_model, random_system,
+                               read_report, read_result, save_model)
 from reachtune.reach import LinearSystem
 from reachtune.sampling import check_containment, sample_trajectories
 from reachtune.zonotope import Zonotope
@@ -544,3 +544,47 @@ def test_json_of_the_wrong_shape_exits_three(tmp_path, capsys):
     errs = capsys.readouterr().err.splitlines()
     assert len(errs) == 2
     assert all(f"{result}:2 must be an object" in err for err in errs)
+
+
+def test_baseline_rho_inf_exits_three(tmp_path, capsys):
+    # it ended in reduce_order's int() of an infinite generator count
+    model = gen_model(tmp_path)
+    assert main(["baseline", "--model", str(model), "--dt", "0.1",
+                 "--eta", "4", "--rho", "inf"]) == 3
+    err = capsys.readouterr().err
+    assert "rho must be finite" in err and "internal error" not in err
+
+
+def test_model_with_an_infinite_set_corner_exits_three(tmp_path, capsys):
+    # finite entries whose box corner |c| + sum_j |g_j| overflows
+    raw = json.loads(gen_model(tmp_path).read_text())
+    raw["X0"] = {"center": [1e308, 0.0], "generators": [[1e308, 0.0]]}
+    model = tmp_path / "huge.json"
+    model.write_text(json.dumps(raw))
+    assert main(["run", "--model", str(model), "--eps", "0.5"]) == 3
+    assert "initial set corner" in capsys.readouterr().err
+
+
+def test_sample_step_beyond_the_array_limit_exits_three(tmp_path, capsys):
+    model = gen_model(tmp_path)
+    traj = tmp_path / "t.jsonl"
+    for step in ("1e-300", "5e-324"):
+        assert main(["sample", "--model", str(model), "--count", "1",
+                     "--seed", "1", "--out", str(traj), "--step", step]) == 3
+        err = capsys.readouterr().err
+        assert "cannot be allocated" in err and "internal error" not in err
+    assert not traj.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_baseline_enclosure_overflow_exits_four(tmp_path, capsys):
+    # valid input on which the fixed run's enclosure of exp(A t) overflows:
+    # a run-time failure, not an input error
+    sets = random_system(2, 1)
+    model = tmp_path / "fast.json"
+    save_model(model, LinearSystem(np.diag([800.0, 1.0]), sets.initial_set,
+                                   sets.input_set, 1.0))
+    assert main(["baseline", "--model", str(model), "--dt", "0.01",
+                 "--eta", "20", "--rho", "10"]) == 4
+    assert ("internal error: enclosure of exp(A t) overflowed"
+            in capsys.readouterr().err)

@@ -12,7 +12,8 @@ from reachtune.modelio import (ModelError, SafetySpec, check_specs,
                                read_result, run_adaptive, run_fixed_baseline,
                                save_model, write_report, write_result)
 from reachtune.reach import LinearSystem, ReachSegment
-from reachtune.tuner import ErrorLedger, ReachResult, run
+from reachtune.taylor import NotConvergentError
+from reachtune.tuner import ErrorLedger, ReachResult, run, run_fixed
 from reachtune.zonotope import Zonotope, interval_hull, support
 
 
@@ -328,6 +329,9 @@ def test_baseline_rejects_invalid_parameters():
         run_fixed_baseline(sys, dt=0.5, eta=0, rho=2.0)
     with pytest.raises(ValueError):
         run_fixed_baseline(sys, dt=0.5, eta=4, rho=0.5)
+    for rho in (math.inf, math.nan):
+        with pytest.raises(ModelError, match="rho must be finite"):
+            run_fixed_baseline(sys, dt=0.5, eta=4, rho=rho)
 
 
 def test_baseline_rejects_overflowing_taylor_terms():
@@ -337,3 +341,28 @@ def test_baseline_rejects_overflowing_taylor_terms():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="overflow"):
             run_fixed_baseline(sys, 0.03, 100, 10.0)
+
+
+def test_baseline_maps_only_the_engines_taylor_failure():
+    # divergence (the spin model of test_cli) and overflow (diag(-3000, -1))
+    # both fail in run_fixed as NotConvergentError, which the file boundary
+    # turns into a ModelError
+    spin = LinearSystem(np.array([[0.0, 2.0], [-2.0, 0.0]]),
+                        Zonotope(np.full(2, 10.0), 0.25 * np.eye(2)),
+                        Zonotope.point([0.0, 0.0]), 3.0)
+    stiff = LinearSystem(np.diag([-3000.0, -1.0]), Zonotope.box([1.0, 1.0], [0.1, 0.1]),
+                         Zonotope.box([0.0, 0.0], [0.05, 0.05]), 0.3)
+    for system, dt, eta in ((spin, 3.0, 1), (stiff, 0.03, 100)):
+        with pytest.raises(NotConvergentError, match="diverges or its terms overflow"):
+            run_fixed(system, dt, eta, 10.0)
+        with pytest.raises(ModelError, match="diverges or its terms overflow"):
+            run_fixed_baseline(system, dt, eta, 10.0)
+    # an enclosure of exp(A t) that overflows is a run-time failure: it
+    # stays a plain ValueError
+    base = random_system(2, 1)
+    unstable = LinearSystem(np.diag([800.0, 1.0]), base.initial_set,
+                            base.input_set, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="enclosure of exp") as info:
+            run_fixed_baseline(unstable, 0.01, 20, 10.0)
+    assert not isinstance(info.value, ModelError)

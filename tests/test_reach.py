@@ -50,6 +50,17 @@ def test_linear_system_validation():
         LinearSystem(np.array([[np.nan, 0], [0, 1]]), unit_box(2), unit_box(2), 1.0)
 
 
+def test_linear_system_rejects_sets_with_an_infinite_corner():
+    # every entry is finite, but |c| + sum_j |g_j| is not; no overflow warning
+    huge = Zonotope([1e308, 0.0], [[1e308], [0.0]])
+    with pytest.raises(ValueError, match="initial set corner"):
+        LinearSystem(np.eye(2), huge, unit_box(2), 1.0)
+    with pytest.raises(ValueError, match="input set corner"):
+        LinearSystem(np.eye(2), unit_box(2), huge, 1.0)
+    edge = Zonotope([1e308, 0.0], [[7e307], [0.0]])
+    assert LinearSystem(np.eye(2), edge, edge, 1.0).dim == 2
+
+
 def test_homogeneous_step_static_dynamics():
     sys = LinearSystem(np.zeros((2, 2)), unit_box(2, 5.0),
                        Zonotope.point([0.0, 0.0]), 1.0)

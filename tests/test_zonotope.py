@@ -266,6 +266,9 @@ def test_reduce_noop_at_target_order():
     assert err == 0.0
     with pytest.raises(ValueError):
         reduce_order(z, 0.5)
+    for target in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            reduce_order(z, target)
 
 
 def test_reduce_three_generators_to_box():

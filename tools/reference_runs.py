@@ -78,6 +78,11 @@ def reference_runs():
     for seed in (1, 2):
         yield (f"fixed-8-{seed}",
                lambda s=seed: run_fixed_baseline(random_system(8, s), 0.03, 4, 10)[0])
+    # the fixed run's two horizon branches: 0.7 leaves 0.2 for a clamped last
+    # step, and seven steps of 3/7 - 1e-11 leave a sliver the seventh absorbs
+    for label, dt in (("clamp", 0.7), ("absorb", 3 / 7 - 1e-11)):
+        yield (f"fixed-2-9-{label}",
+               lambda w=dt: run_fixed_baseline(random_system(2, 9), w, 8, 5)[0])
 
 
 def segment_digest(result) -> str:
